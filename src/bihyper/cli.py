@@ -150,9 +150,12 @@ def _cmd_min_search(args) -> int:
         except ValueError:
             raise UsageError(f"--resume expects V:MASK, got {args.resume!r}")
     budget = args.budget if args.budget is not None else _default_budget()
-    report = certify_lower_bound(spec, v_max, iso_reduce=args.iso, budget=budget,
-                                 resume=resume, threads=args.threads,
-                                 max_witnesses=args.max_witnesses)
+    try:
+        report = certify_lower_bound(spec, v_max, iso_reduce=args.iso, budget=budget,
+                                     resume=resume, threads=args.threads,
+                                     max_witnesses=args.max_witnesses)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     for v in report.vertex_counts_searched:
         print(f"v={v}: examined {report.instances_examined[v]} instances")
     print(f"verdict: {report.verdict} (bound for {{{spec}}} is {bound})")

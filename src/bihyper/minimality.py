@@ -5,10 +5,20 @@ Every 3-uniform bi-hypergraph on ``v`` vertices is a subset of the
 sorted triple list.  The stream can optionally be reduced to one canonical
 representative per isomorphism class (the numerically smallest mask over
 all vertex relabelings, brute-forced over the ``v!`` permutations, which is
-cheap at this scale).  Certification walks the stream and checks each
-instance for being a one-realization of the target set, abandoning an
-instance as soon as a second coloring at some class count or a coloring
-with an out-of-target class count appears.
+cheap at this scale).
+
+Certification walks the stream and checks each instance against a table
+built once per ``v``: one row per set partition of the ``v`` vertices,
+holding the partition's class count and a bitmask of the triples it does
+not 2-colour (the rainbow and the monochromatic ones).  A partition is a
+strict coloring of the instance with edge mask ``M`` exactly when ``M`` has
+no bit in common with that bad-triple mask, so an instance is checked by a
+scan over the Bell(v) rows that stops at the first coloring with an
+out-of-target class count or a second coloring at some class count.  The
+rows come from the search kernel itself, as the strict colorings of the
+edgeless hypergraph.  An instance that passes the table is rebuilt as a
+hypergraph and certified again by ``is_one_realization``; only that
+enumerator's certificate is ever reported.
 
 Runs are budgeted by masks processed and resumable from a ``(v, mask)``
 cursor; the stream is chunked by contiguous mask ranges, which is also the
@@ -24,8 +34,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator
 
-from .colorings import OneRealizationCertificate, is_one_realization
-from .construction import FeasibleSpec
+from .colorings import OneRealizationCertificate, is_one_realization, iter_strict_colorings
+from .construction import FeasibleSpec, min_size
 from .model import MixedHypergraph
 
 DEFAULT_BUDGET = 10_000_000
@@ -106,10 +116,50 @@ class SearchReport:
     cursor: tuple[int, int] | None = None
 
 
+_PARTITION_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _partition_table(v: int) -> tuple[tuple[int, int], ...]:
+    """``(bad_mask, class_count)`` for every set partition of ``v`` vertices, cached per ``v``.
+
+    Bit ``i`` of ``bad_mask`` is set when the partition leaves triple ``i``
+    rainbow or monochromatic, i.e. fails to 2-colour it.
+    """
+    table = _PARTITION_TABLES.get(v)
+    if table is None:
+        triples = _triples(v)
+        rows = []
+        for p in iter_strict_colorings(MixedHypergraph(v, (), ())):
+            labels = p.labels
+            bad = 0
+            for i, (a, b, c) in enumerate(triples):
+                if len({labels[a], labels[b], labels[c]}) != 2:
+                    bad |= 1 << i
+            rows.append((bad, p.class_count))
+        # partitions with the fewest bad triples are colorings of the most
+        # instances, so checking them first ends most refutations sooner
+        rows.sort(key=lambda row: row[0].bit_count())
+        table = _PARTITION_TABLES[v] = tuple(rows)
+    return table
+
+
+def _table_says_one_realization(table: tuple[tuple[int, int], ...], mask: int,
+                                wanted: frozenset[int]) -> bool:
+    """Whether the instance ``mask`` has exactly one strict coloring per count in ``wanted``."""
+    seen = set()
+    for bad, k in table:
+        if not mask & bad:
+            if k in seen or k not in wanted:
+                return False
+            seen.add(k)
+    return len(seen) == len(wanted)
+
+
 def _scan_range(payload: tuple) -> tuple[int, list[tuple[int, OneRealizationCertificate]]]:
     """Check masks in [start, stop); returns (examined count, witness masks)."""
     v, start, stop, values, iso_reduce = payload
-    triples = _triples(v)
+    table = _partition_table(v)
+    wanted = frozenset(values)
     actions = _permutation_actions(v) if iso_reduce else None
     examined = 0
     witnesses = []
@@ -117,8 +167,12 @@ def _scan_range(payload: tuple) -> tuple[int, list[tuple[int, OneRealizationCert
         if actions is not None and _canonical_mask(mask, actions) != mask:
             continue
         examined += 1
-        cert = is_one_realization(_mask_to_hypergraph(v, triples, mask), values)
-        if cert.ok:
+        if _table_says_one_realization(table, mask, wanted):
+            cert = is_one_realization(_mask_to_hypergraph(v, _triples(v), mask), values)
+            if not cert.ok:
+                raise AssertionError(
+                    f"partition table and enumerator disagree on v={v} mask={mask}: "
+                    f"{cert.failure}")
             witnesses.append((mask, cert))
     return examined, witnesses
 
@@ -135,19 +189,28 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
     verdict is ``certified-none``; running at the optimum instead hunts for
     witnesses.  The budget counts masks processed (including ones skipped
     as non-canonical under ``iso_reduce``); exceeding it aborts with a
-    resumable ``(v, mask)`` cursor.  The search stops once ``max_witnesses``
+    resumable ``(v, mask)`` cursor.  A ``resume`` cursor outside the search
+    range raises ``ValueError``.  The search stops once ``max_witnesses``
     one-realizations are in hand.
     """
     spec = FeasibleSpec.of(spec)
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be at least 1")
     if v_max is None:
-        v_max = 2 * spec.n1 - (spec.n2 + 1) // spec.n1 - 1
+        v_max = min_size(spec) - 1
     counts = tuple(range(3, v_max + 1))
+    if resume is None:
+        start_v, start_mask = 3, 0
+    else:
+        start_v, start_mask = resume
+        if start_v not in counts:
+            raise ValueError(f"resume cursor vertex count {start_v} is outside 3..{v_max}")
+        if not 0 <= start_mask < 1 << comb(start_v, 3):
+            raise ValueError(f"resume cursor mask {start_mask} is outside "
+                             f"[0, 2**{comb(start_v, 3)}) for v={start_v}")
     examined: dict[int, int] = {v: 0 for v in counts}
     witnesses: list[tuple[MixedHypergraph, OneRealizationCertificate]] = []
     processed = 0
-    start_v, start_mask = resume if resume is not None else (counts[0] if counts else 3, 0)
 
     pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
     try:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from bihyper.cli import main
 from bihyper.construction import construct
 from bihyper.serialization import serialize
@@ -125,6 +127,14 @@ class TestMinSearch:
 
     def test_bad_resume(self, capsys):
         assert main(["min-search", "--set", "3,2", "--resume", "nope"]) == 2
+
+    @pytest.mark.parametrize("cursor", ["9:0", "2:0", "4:1000000"])
+    def test_resume_outside_range(self, capsys, cursor):
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
+                     "--resume", cursor]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: resume cursor")
+        assert "verdict" not in captured.out
 
 
 class TestIsocheck:

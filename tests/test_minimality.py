@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from bihyper.colorings import chromatic_spectrum, is_one_realization
+from bihyper import minimality
+from bihyper.colorings import (ChromaticSpectrum, OneRealizationCertificate, chromatic_spectrum,
+                               enumerate_strict_colorings, is_one_realization)
+from bihyper.construction import construct
 from bihyper.minimality import (VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS,
-                                _canonical_mask, _permutation_actions,
+                                _canonical_mask, _partition_table, _permutation_actions,
                                 certify_lower_bound, enumerate_bi_hypergraphs)
 from conftest import random_mixed_hypergraph, shuffled_copy
 
@@ -56,6 +59,12 @@ class TestStream:
             assert chromatic_spectrum(copy) == base
 
 
+def _mask_of(h):
+    """The stream mask of a 3-uniform bi-hypergraph."""
+    triple_index = {t: i for i, t in enumerate(combinations(range(h.vertex_count), 3))}
+    return sum(1 << triple_index[e] for e in h.c_edges)
+
+
 def _remap(mask, action):
     from bihyper.minimality import _remap_mask
     return _remap_mask(mask, action)
@@ -75,6 +84,11 @@ class TestCertify:
         assert report.verdict == VERDICT_NONE
         assert report.instances_examined == {3: 2, 4: 5}
         assert report.masks_processed == 18  # budget counts masks, not survivors
+        serial = certify_lower_bound([3, 2], 5)
+        reduced = certify_lower_bound([3, 2], 5, iso_reduce=True)
+        assert reduced.instances_examined == {3: 2, 4: 5, 5: 34}
+        assert (reduced.verdict, reduced.witnesses, reduced.masks_processed, reduced.cursor) == \
+            (serial.verdict, serial.witnesses, serial.masks_processed, serial.cursor)
 
     def test_hunt_at_formula_size_finds_nothing_for_three_two(self):
         # the formula says 5, but the exhaustive stream refutes attainability
@@ -85,12 +99,8 @@ class TestCertify:
     def test_hunt_finds_witness_when_stream_reaches_one(self):
         # no valid target is one-realized below 6 vertices, so use the resume
         # cursor to park the v=6 stream right on the verified 6-vertex build
-        from itertools import combinations
-        from bihyper.construction import construct
         built = construct([3, 2])
-        triple_index = {t: i for i, t in enumerate(combinations(range(6), 3))}
-        mask = sum(1 << triple_index[e] for e in built.hypergraph.c_edges)
-        report = certify_lower_bound([3, 2], 6, resume=(6, mask), budget=1)
+        report = certify_lower_bound([3, 2], 6, resume=(6, _mask_of(built.hypergraph)), budget=1)
         assert report.verdict == VERDICT_WITNESS
         h, cert = report.witnesses[0]
         assert h == built.hypergraph
@@ -124,17 +134,47 @@ class TestCertify:
     def test_thread_count_does_not_change_report(self):
         seq = certify_lower_bound([3, 2], 5)
         par = certify_lower_bound([3, 2], 5, threads=2)
-        assert seq.verdict == par.verdict
-        assert seq.instances_examined == par.instances_examined
-        assert seq.masks_processed == par.masks_processed
-        assert seq.witnesses == par.witnesses
+        assert seq == par
+
+    @pytest.mark.parametrize("cursor", [(9, 0), (2, 0), (4, 10 ** 6), (4, 16), (4, -1)])
+    def test_resume_cursor_outside_range_is_refused(self, cursor):
+        # a cursor past the range used to certify-none after examining nothing
+        with pytest.raises(ValueError, match="resume cursor"):
+            certify_lower_bound([3, 2], 4, resume=cursor)
+
+    def test_last_mask_is_a_valid_cursor(self):
+        report = certify_lower_bound([3, 2], 4, resume=(4, 15))
+        assert report.verdict == VERDICT_NONE
+        assert report.instances_examined == {3: 0, 4: 1}
+
+
+class TestPartitionTable:
+    def test_one_row_per_set_partition(self):
+        assert [len(_partition_table(v)) for v in (3, 4, 5, 6)] == [5, 15, 52, 203]
+
+    def test_rows_tally_to_the_enumerated_spectrum(self):
+        # every instance with v <= 5: 2 + 16 + 1024 = 1042 masks
+        checked = 0
+        for v in (3, 4, 5):
+            table = _partition_table(v)
+            for mask, h in enumerate(enumerate_bi_hypergraphs(v)):
+                tally = ChromaticSpectrum.from_class_counts(k for bad, k in table if not mask & bad)
+                assert tally.counts == enumerate_strict_colorings(h).spectrum.counts
+                checked += 1
+        assert checked == 1042
+
+    def test_table_hit_the_enumerator_refutes_is_an_error(self, monkeypatch):
+        mask = _mask_of(construct([3, 2]).hypergraph)
+        refuted = OneRealizationCertificate(False, (2, 3), failure="forced refutation")
+        monkeypatch.setattr(minimality, "is_one_realization", lambda h, target: refuted)
+        with pytest.raises(AssertionError, match="disagree"):
+            certify_lower_bound([3, 2], 6, resume=(6, mask), budget=1)
 
 
 class TestWitnessHunt:
     def test_six_vertex_witness_for_three_two_exists(self):
         # the verified construction on 6 vertices is in the v=6 stream; spot
         # it directly rather than walking all 2^20 masks
-        from bihyper.construction import construct
         built = construct([3, 2])
         assert built.vertex_count == 6
         assert is_one_realization(built.hypergraph, [3, 2]).ok
