@@ -183,8 +183,12 @@ def _cmd_isocheck(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read map {args.map}: {exc}")
     try:
-        pairs = [(int(a), int(b)) for a, b in raw]
-        bijection = VertexBijection.from_mapping(dict(pairs))
+        mapping: dict[int, int] = {}
+        for a, b in raw:
+            if int(a) in mapping:
+                raise ValueError(f"vertex {int(a)} is mapped more than once")
+            mapping[int(a)] = int(b)
+        bijection = VertexBijection.from_mapping(mapping)
         ok = check_isomorphism_under_map(h1, h2, bijection)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.map}: expected a JSON list of [from, to] pairs: {exc}")

@@ -3,11 +3,18 @@
 The search assigns vertices depth-first in a fixed order.  Each vertex
 takes either a class already in use or the single next fresh class, so
 every set partition is generated exactly once regardless of class
-relabeling.  Per-edge counters (assigned vertices, distinct classes seen)
-are maintained incrementally; a branch is abandoned the moment a fully
-assigned C-edge has all its vertices in pairwise distinct classes or a
-fully assigned D-edge is monochromatic.  For a 3-vertex bi-edge those two
-checks fire exactly on the rainbow and monochromatic assignments.
+relabeling.  Each edge is checked exactly once, when the last of its
+vertices in the order is assigned: at that depth the edges it closes narrow
+the vertex's candidate classes to a bitmask.  A C-edge whose other vertices
+lie in pairwise distinct classes restricts the vertex to those classes (for
+a 2-vertex C-edge, to its partner's class); a D-edge whose other vertices
+all share class x forbids x.  For a 3-vertex bi-edge with others in classes
+a and b this reads: a == b forbids a, otherwise the vertex must take a or
+b, which rules out exactly the monochromatic and rainbow assignments.  The
+classes left in the mask are tried in ascending order by an iterative walk
+with an explicit stack, so search depth is not bounded by Python's
+recursion limit.  ``nodes_explored`` counts the classes offered at every
+visited depth, pruned or not.
 
 Correctness is independent of the vertex order; the default order
 (descending edge degree, ties by index) just makes the pruning bite early.
@@ -90,87 +97,95 @@ class _Searcher:
     """Backtracking state: one instance per (hypergraph, vertex order)."""
 
     def __init__(self, h: MixedHypergraph, order: Sequence[int]):
-        n = h.vertex_count
         merged: dict[tuple[int, ...], list[bool]] = {}
         for e in h.c_edges:
             merged.setdefault(e, [False, False])[0] = True
         for e in h.d_edges:
             merged.setdefault(e, [False, False])[1] = True
-        items = sorted(merged.items())
-        self.n = n
+        self.n = h.vertex_count
         self.order = tuple(order)
-        self.everts = [e for e, _ in items]
-        self.is_c = [flags[0] for _, flags in items]
-        self.is_d = [flags[1] for _, flags in items]
-        self.esize = [len(e) for e in self.everts]
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for ei, e in enumerate(self.everts):
-            for v in e:
-                incident[v].append(ei)
-        self.incident = incident
-        self.labels = [-1] * n
-        self.assigned = [0] * len(items)
-        self.distinct = [0] * len(items)
-        self.class_counts: list[dict[int, int]] = [{} for _ in items]
+        depth_of = [0] * self.n
+        for depth, v in enumerate(self.order):
+            depth_of[v] = depth
+        # closing[d]: the edges whose last vertex in the order sits at depth d
+        self.closing: list[list[tuple[tuple[int, ...], bool, bool]]] = [[] for _ in self.order]
+        for e, (is_c, is_d) in merged.items():
+            last = max(e, key=depth_of.__getitem__)
+            others = tuple(u for u in e if u != last)
+            self.closing[depth_of[last]].append((others, is_c, is_d))
+        self.labels = [-1] * self.n
         self.nodes = 0
 
-    def _assign(self, v: int, c: int) -> bool:
-        ok = True
-        for ei in self.incident[v]:
-            cc = self.class_counts[ei]
-            prev = cc.get(c, 0)
-            cc[c] = prev + 1
-            self.assigned[ei] += 1
-            if prev == 0:
-                self.distinct[ei] += 1
-            if self.assigned[ei] == self.esize[ei]:
-                d = self.distinct[ei]
-                if (self.is_c[ei] and d == self.esize[ei]) or (self.is_d[ei] and d == 1):
-                    ok = False
-        self.labels[v] = c
-        return ok
+    def _allowed(self, depth: int, used: int) -> int:
+        """Bitmask of the classes ``0..used`` that the edges closing at ``depth`` permit."""
+        labels = self.labels
+        allowed = (2 << used) - 1
+        for others, is_c, is_d in self.closing[depth]:
+            if len(others) == 2:
+                la = labels[others[0]]
+                lb = labels[others[1]]
+                if la == lb:
+                    if is_d:
+                        allowed &= ~(1 << la)
+                elif is_c:
+                    allowed &= (1 << la) | (1 << lb)
+                continue
+            seen = 0
+            for u in others:
+                seen |= 1 << labels[u]
+            if is_c and seen.bit_count() == len(others):
+                allowed &= seen
+            if is_d and not seen & (seen - 1):
+                allowed &= ~seen
+        return allowed
 
-    def _unassign(self, v: int, c: int) -> None:
-        for ei in self.incident[v]:
-            cc = self.class_counts[ei]
-            if cc[c] == 1:
-                del cc[c]
-                self.distinct[ei] -= 1
-            else:
-                cc[c] -= 1
-            self.assigned[ei] -= 1
-        self.labels[v] = -1
+    def walk(self, prefix: Sequence[int] = (), stop: int | None = None) -> Iterator[list[int]]:
+        """Yield ``self.labels`` at every proper assignment of the first ``stop`` vertices.
 
-    def apply_prefix(self, prefix: Sequence[int]) -> bool:
-        """Install class choices for the first vertices of the order, uncounted."""
-        ok = True
+        ``prefix`` fixes the classes of the first ``len(prefix)`` vertices of
+        the order, uncounted, and must be shorter than ``stop``.  The yielded
+        list is live: it changes as the walk resumes.
+        """
+        order, labels, allowed_at = self.order, self.labels, self._allowed
+        stop = self.n if stop is None else stop
+        depth = start = len(prefix)
         for pos, c in enumerate(prefix):
-            ok = self._assign(self.order[pos], c) and ok
-        return ok
+            labels[order[pos]] = c
+            if not allowed_at(pos, c) >> c & 1:
+                raise AssertionError("worker received a pruned prefix")
+        used = max(prefix) + 1 if prefix else 0
+        nodes = used + 1
+        candidates = [0] * stop
+        used_at = [0] * stop
+        candidates[depth] = allowed_at(depth, used)
+        used_at[depth] = used
+        while depth >= start:
+            mask = candidates[depth]
+            if not mask:
+                depth -= 1
+                continue
+            low = mask & -mask
+            candidates[depth] = mask ^ low
+            c = low.bit_length() - 1
+            labels[order[depth]] = c
+            used = used_at[depth]
+            if c == used:
+                used += 1
+            if depth + 1 == stop:
+                self.nodes += nodes
+                nodes = 0
+                yield labels
+                continue
+            depth += 1
+            nodes += used + 1
+            candidates[depth] = allowed_at(depth, used)
+            used_at[depth] = used
+        self.nodes += nodes
 
-    def colorings(self, depth: int = 0, used: int = 0) -> Iterator[Partition]:
-        """Yield every proper coloring extending the current assignment."""
-        if depth == self.n:
-            yield Partition(tuple(self.labels))
-            return
-        v = self.order[depth]
-        for c in range(used + 1):
-            self.nodes += 1
-            if self._assign(v, c):
-                yield from self.colorings(depth + 1, used + (1 if c == used else 0))
-            self._unassign(v, c)
-
-    def prefixes(self, split_depth: int, depth: int = 0, used: int = 0) -> Iterator[tuple[int, ...]]:
-        """Yield surviving class-choice prefixes of the first ``split_depth`` vertices."""
-        if depth == split_depth:
-            yield tuple(self.labels[self.order[pos]] for pos in range(split_depth))
-            return
-        v = self.order[depth]
-        for c in range(used + 1):
-            self.nodes += 1
-            if self._assign(v, c):
-                yield from self.prefixes(split_depth, depth + 1, used + (1 if c == used else 0))
-            self._unassign(v, c)
+    def colorings(self) -> Iterator[Partition]:
+        """Yield every strict coloring, in search order."""
+        for labels in self.walk():
+            yield Partition(tuple(labels))
 
 
 def default_vertex_order(h: MixedHypergraph) -> tuple[int, ...]:
@@ -202,10 +217,7 @@ def iter_strict_colorings(h: MixedHypergraph,
 def _expand_prefix(payload: tuple) -> tuple[list[tuple[int, ...]], int]:
     vertex_count, c_edges, d_edges, order, prefix = payload
     searcher = _Searcher(MixedHypergraph(vertex_count, c_edges, d_edges), order)
-    if not searcher.apply_prefix(prefix):
-        raise AssertionError("worker received a pruned prefix")
-    used = max(prefix) + 1 if prefix else 0
-    found = [p.labels for p in searcher.colorings(depth=len(prefix), used=used)]
+    found = [tuple(labels) for labels in searcher.walk(prefix)]
     return found, searcher.nodes
 
 
@@ -241,7 +253,8 @@ def enumerate_strict_colorings(h: MixedHypergraph,
     else:
         split_depth = min(_SPLIT_DEPTH, h.vertex_count - 1)
         splitter = _Searcher(h, resolved)
-        prefix_list = list(splitter.prefixes(split_depth))
+        prefix_list = [tuple(labels[v] for v in resolved[:split_depth])
+                       for labels in splitter.walk(stop=split_depth)]
         payloads = [(h.vertex_count, h.c_edges, h.d_edges, resolved, p) for p in prefix_list]
         nodes = splitter.nodes
         found = []

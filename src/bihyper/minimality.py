@@ -189,15 +189,21 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
     verdict is ``certified-none``; running at the optimum instead hunts for
     witnesses.  The budget counts masks processed (including ones skipped
     as non-canonical under ``iso_reduce``); exceeding it aborts with a
-    resumable ``(v, mask)`` cursor.  A ``resume`` cursor outside the search
-    range raises ``ValueError``.  The search stops once ``max_witnesses``
+    resumable ``(v, mask)`` cursor.  A budget below 1, a ``v_max`` below 3
+    (an empty search range) and a ``resume`` cursor outside the search range
+    raise ``ValueError``.  The search stops once ``max_witnesses``
     one-realizations are in hand.
     """
     spec = FeasibleSpec.of(spec)
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be at least 1")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 mask, got {budget}")
     if v_max is None:
         v_max = min_size(spec) - 1
+    if v_max < 3:
+        raise ValueError(f"max vertex count {v_max} leaves nothing to search: "
+                         f"3-uniform instances start at 3 vertices")
     counts = tuple(range(3, v_max + 1))
     if resume is None:
         start_v, start_mask = 3, 0

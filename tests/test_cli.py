@@ -6,6 +6,7 @@ import pytest
 
 from bihyper.cli import main
 from bihyper.construction import construct
+from bihyper.model import build_hypergraph
 from bihyper.serialization import serialize
 
 
@@ -60,9 +61,8 @@ class TestSpectrum:
         path = write_construction(tmp_path, [4, 2])
         assert main(["spectrum", path, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["counts"] == [0, 1, 0, 1]
-        assert data["feasible"] == [2, 4]
-        assert data["strict_colorings"] == 2
+        assert data == {"vertex_count": 8, "upper_chromatic": 4, "counts": [0, 1, 0, 1],
+                        "feasible": [2, 4], "strict_colorings": 2, "nodes_explored": 75}
 
     def test_threads_flag(self, tmp_path, capsys):
         path = write_construction(tmp_path, [4, 2])
@@ -128,6 +128,22 @@ class TestMinSearch:
     def test_bad_resume(self, capsys):
         assert main(["min-search", "--set", "3,2", "--resume", "nope"]) == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one(self, capsys, monkeypatch, budget):
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
+                     "--budget", budget]) == 2
+        monkeypatch.setenv("BIHYPER_BUDGET", budget)
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: budget must be at least 1")
+        assert "resume" not in captured.out
+
+    def test_empty_vertex_range(self, capsys):
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: max vertex count 2")
+        assert "verdict" not in captured.out
+
     @pytest.mark.parametrize("cursor", ["9:0", "2:0", "4:1000000"])
     def test_resume_outside_range(self, capsys, cursor):
         assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
@@ -151,6 +167,17 @@ class TestIsocheck:
         mapping = tmp_path / "map.json"
         mapping.write_text(json.dumps([[i, (i + 1) % 6] for i in range(6)]))
         assert main(["isocheck", p1, p2, "--map", str(mapping)]) == 1
+
+    def test_vertex_mapped_twice(self, tmp_path, capsys):
+        # dict() used to keep the last pair, accepting this map as the identity
+        path = tmp_path / "h.json"
+        path.write_text(serialize(build_hypergraph(2, [[0, 1]])))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([[0, 1], [0, 0], [1, 1]]))
+        assert main(["isocheck", str(path), str(path), "--map", str(mapping)]) == 2
+        captured = capsys.readouterr()
+        assert "vertex 0 is mapped more than once" in captured.err
+        assert captured.out == ""
 
     def test_bad_map_file(self, tmp_path, capsys):
         p1 = write_construction(tmp_path, [3, 2], name="a.json")

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.colorings import (ChromaticSpectrum, chromatic_spectrum,
+from bihyper.colorings import (ChromaticSpectrum, _expand_prefix, chromatic_spectrum,
                                enumerate_strict_colorings, feasible_set,
                                is_one_realization, iter_strict_colorings)
 from bihyper.construction import canonical_colorings, construct
@@ -100,7 +101,6 @@ class TestOracleEquivalence:
     @given(st.data())
     def test_exact_set_equality_generated(self, data):
         v = data.draw(st.integers(1, 5))
-        from itertools import combinations
         pool = [e for size in (2, 3) if size <= v for e in combinations(range(v), size)]
         c = data.draw(st.lists(st.sampled_from(pool), max_size=5)) if pool else []
         d = data.draw(st.lists(st.sampled_from(pool), max_size=5)) if pool else []
@@ -118,6 +118,71 @@ class TestOracleEquivalence:
             sub, _ = induced_subhypergraph(h, subset)
             for p in iter_strict_colorings(h):
                 assert is_proper(sub, p.restrict(subset))
+
+
+class TestProperties:
+    @staticmethod
+    def _instance(data):
+        v = data.draw(st.integers(2, 6))
+        pool = [e for size in (2, 3) if size <= v for e in combinations(range(v), size)]
+        c = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        d = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        return v, pool, c, d
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_adding_an_edge_never_adds_a_coloring(self, data):
+        v, pool, c, d = self._instance(data)
+        edge = data.draw(st.sampled_from(pool))
+        role = data.draw(st.sampled_from("CDB"))
+        before = set(iter_strict_colorings(build_hypergraph(v, c, d)))
+        after = set(iter_strict_colorings(build_hypergraph(
+            v, c + [edge] * (role in "CB"), d + [edge] * (role in "DB"))))
+        assert after <= before
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_spectrum_is_invariant_under_relabeling(self, data):
+        v, _, c, d = self._instance(data)
+        perm = data.draw(st.permutations(range(v)))
+        relabel = lambda fam: [[perm[u] for u in e] for e in fam]
+        assert chromatic_spectrum(build_hypergraph(v, relabel(c), relabel(d))) == \
+            chromatic_spectrum(build_hypergraph(v, c, d))
+
+
+class TestKernel:
+    def test_nodes_explored_is_pinned(self):
+        edgeless = enumerate_strict_colorings(build_hypergraph(10))
+        assert edgeless.nodes_explored == 142_417
+        assert edgeless.spectrum.total == 115_975
+        built = construct([10, 9, 2]).hypergraph
+        assert built.vertex_count == 19
+        assert enumerate_strict_colorings(built).nodes_explored == 2_610
+
+    def test_long_path_is_searched_without_recursion(self):
+        # the recursive kernel raised RecursionError above about 1,000 vertices
+        h = build_hypergraph(1200, [(i, i + 1) for i in range(1199)])
+        rep = enumerate_strict_colorings(h)
+        assert rep.spectrum.counts == (1,)
+        assert rep.nodes_explored == 2_399
+
+    @pytest.mark.parametrize("c_edges,d_edges,prefix", [
+        ([], [(0, 1, 2)], (0, 0, 0)),        # monochromatic D-edge
+        ([(0, 1, 2)], [], (0, 1, 2)),        # rainbow C-edge
+        ([(0, 1)], [], (0, 1)),              # split 2-vertex C-edge
+        ([(0, 1, 2)], [(0, 1, 2)], (0, 0, 0)),  # monochromatic bi-edge
+    ])
+    def test_pruned_prefix_is_an_error(self, c_edges, d_edges, prefix):
+        payload = (4, tuple(c_edges), tuple(d_edges), (0, 1, 2, 3), prefix)
+        with pytest.raises(AssertionError, match="pruned prefix"):
+            _expand_prefix(payload)
+
+    def test_surviving_prefix_expands_to_its_colorings(self):
+        h = build_bi_hypergraph(4, [[0, 1, 2]])
+        found, nodes = _expand_prefix((4, h.c_edges, h.d_edges, (0, 1, 2, 3), (0, 1)))
+        assert sorted(found) == [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2),
+                                 (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)]
+        assert nodes == 3 + 2 * 3
 
 
 class TestOrderAndDeterminism:
@@ -197,6 +262,24 @@ class TestOneRealization:
         assert not cert
         assert "not in the target set" in cert.failure
         assert cert.counterexamples[0].class_count == 2
+
+    @pytest.mark.parametrize("h,target,failure,counterexamples", [
+        (build_bi_hypergraph(3, [[0, 1, 2]]), {2},
+         "two distinct strict 2-colorings exist", [(0, 0, 1), (0, 1, 0)]),
+        (construct([4, 2]).hypergraph, {4},
+         "a strict 2-coloring exists but 2 is not in the target set",
+         [(0, 0, 0, 1, 1, 0, 1, 1)]),
+        (construct([3, 2], "II").hypergraph, {3, 2},
+         "two distinct strict 2-colorings exist", [(0, 0, 1, 1, 1), (0, 1, 0, 1, 0)]),
+        (construct([5, 3, 2]).hypergraph, {5, 2},
+         "a strict 3-coloring exists but 3 is not in the target set",
+         [(0, 0, 1, 1, 1, 0, 2, 0, 2, 2)]),
+    ])
+    def test_refutation_evidence_is_pinned(self, h, target, failure, counterexamples):
+        cert = is_one_realization(h, target)
+        assert not cert.ok and cert.witnesses == ()
+        assert cert.failure == failure
+        assert [p.labels for p in cert.counterexamples] == counterexamples
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):

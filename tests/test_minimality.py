@@ -121,11 +121,22 @@ class TestCertify:
         assert merged == full.instances_examined
         assert partial.masks_processed + resumed.masks_processed == full.masks_processed
 
-    def test_zero_budget_aborts_immediately(self):
-        report = certify_lower_bound([3, 2], 4, budget=0)
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget):
+        # a budget of 0 used to abort at cursor (3, 0): a resume that never progresses
+        with pytest.raises(ValueError, match="budget"):
+            certify_lower_bound([3, 2], 4, budget=budget)
+        report = certify_lower_bound([3, 2], 4, budget=1)
         assert report.verdict == VERDICT_ABORTED
-        assert report.cursor == (3, 0)
-        assert report.masks_processed == 0
+        assert report.cursor == (3, 1)
+        assert report.masks_processed == 1
+
+    @pytest.mark.parametrize("v_max", [2, 0, -1])
+    def test_empty_vertex_range_is_refused(self, v_max):
+        # used to report certified-none after searching no vertex count
+        with pytest.raises(ValueError, match="nothing to search"):
+            certify_lower_bound([3, 2], v_max)
+        assert certify_lower_bound([3, 2], 3).vertex_counts_searched == (3,)
 
     def test_default_v_max_is_one_below_formula(self):
         report = certify_lower_bound([3, 2], budget=10_000)
