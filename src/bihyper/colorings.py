@@ -18,18 +18,24 @@ visited depth, pruned or not.
 
 Correctness is independent of the vertex order; the default order
 (descending edge degree, ties by index) just makes the pruning bite early.
-Found colorings are canonicalized to index order and reported sorted by
-their encodings, so reports are deterministic, including when the search
-tree is split across worker processes.
+The search's labels are restricted-growth in search order, not in index
+order.  Each found coloring is relabeled to index order by a rank table
+looked up from its classes' first-appearance pattern (the classes listed
+by their first vertex in index order); each walk caches one table per
+pattern, and few patterns occur, so nothing downstream re-canonicalizes.
+Colorings are reported sorted by their encodings, so reports are
+deterministic, including when the search tree is split across worker
+processes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import MixedHypergraph, Partition
+from .model import MixedHypergraph, Partition, _canonical_partition
 
 _SPLIT_DEPTH = 4  # tree levels explored before handing branches to workers
 
@@ -56,11 +62,8 @@ class ChromaticSpectrum:
 
     @classmethod
     def from_class_counts(cls, class_counts: Iterable[int]) -> "ChromaticSpectrum":
-        tally: dict[int, int] = {}
-        for k in class_counts:
-            tally[k] = tally.get(k, 0) + 1
-        top = max(tally, default=0)
-        return cls(tuple(tally.get(k, 0) for k in range(1, top + 1)))
+        tally = Counter(class_counts)
+        return cls(tuple(tally[k] for k in range(1, max(tally, default=0) + 1)))
 
     @property
     def upper_chromatic(self) -> int:
@@ -182,10 +185,29 @@ class _Searcher:
             used_at[depth] = used
         self.nodes += nodes
 
+    def canonical(self, prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+        """Yield the labels of every coloring ``walk(prefix)`` reaches, in canonical form.
+
+        Each yielded tuple is the restricted-growth encoding in vertex index
+        order, exactly what ``Partition(labels).labels`` would hold, so it
+        may be wrapped by ``model._canonical_partition`` unchecked.  The
+        classes of a leaf, listed by first appearance in index order, pick a
+        table, cached per pattern for this walk, that ranks them ``0, 1, ...``.
+        """
+        ranks: dict[tuple[int, ...], Callable[[int], int]] = {}
+        for labels in self.walk(prefix):
+            first = tuple(dict.fromkeys(labels))
+            rank = ranks.get(first)
+            if rank is None:
+                table = [0] * len(first)
+                for i, c in enumerate(first):
+                    table[c] = i
+                rank = ranks[first] = table.__getitem__
+            yield tuple(map(rank, labels))
+
     def colorings(self) -> Iterator[Partition]:
-        """Yield every strict coloring, in search order."""
-        for labels in self.walk():
-            yield Partition(tuple(labels))
+        """Every strict coloring, lazily, in search order."""
+        return map(_canonical_partition, self.canonical())
 
 
 def default_vertex_order(h: MixedHypergraph) -> tuple[int, ...]:
@@ -217,8 +239,7 @@ def iter_strict_colorings(h: MixedHypergraph,
 def _expand_prefix(payload: tuple) -> tuple[list[tuple[int, ...]], int]:
     vertex_count, c_edges, d_edges, order, prefix = payload
     searcher = _Searcher(MixedHypergraph(vertex_count, c_edges, d_edges), order)
-    found = [tuple(labels) for labels in searcher.walk(prefix)]
-    return found, searcher.nodes
+    return list(searcher.canonical(prefix)), searcher.nodes
 
 
 def enumerate_strict_colorings(h: MixedHypergraph,
@@ -248,7 +269,7 @@ def enumerate_strict_colorings(h: MixedHypergraph,
 
     if threads <= 1 or h.vertex_count < 2:
         searcher = _Searcher(h, resolved)
-        found = list(searcher.colorings())
+        found = list(searcher.canonical())
         nodes = searcher.nodes
     else:
         split_depth = min(_SPLIT_DEPTH, h.vertex_count - 1)
@@ -261,12 +282,13 @@ def enumerate_strict_colorings(h: MixedHypergraph,
         if payloads:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 for labels_list, task_nodes in pool.map(_expand_prefix, payloads):
-                    found.extend(Partition(labels) for labels in labels_list)
+                    found.extend(labels_list)
                     nodes += task_nodes
 
-    found.sort(key=lambda p: p.labels)
-    spectrum = ChromaticSpectrum.from_class_counts(p.class_count for p in found)
-    collected = tuple(found if limit is None else found[:limit])
+    found.sort()
+    # the canonical labels of a k-coloring are 0..k-1
+    spectrum = ChromaticSpectrum.from_class_counts(map((1).__add__, map(max, found)))
+    collected = tuple(map(_canonical_partition, found if limit is None else found[:limit]))
     return EnumerationReport(collected, spectrum, spectrum.feasible, nodes)
 
 

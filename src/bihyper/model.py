@@ -192,6 +192,20 @@ class Partition:
         return "{" + " | ".join(" ".join(str(v) for v in cl) for cl in self.classes()) + "}"
 
 
+def _canonical_partition(labels: tuple[int, ...]) -> Partition:
+    """Wrap ``labels`` as a Partition without re-canonicalizing them.
+
+    Trusted path: the caller guarantees that ``labels`` is a nonempty tuple
+    already in canonical restricted-growth form, as the coloring search
+    emits it.  Nothing is checked, so any other input yields a Partition
+    that compares unequal to the one ``Partition(labels)`` would build.
+    Arbitrary label sequences go through the public constructor.
+    """
+    p = object.__new__(Partition)
+    object.__setattr__(p, "labels", labels)
+    return p
+
+
 def is_proper(h: MixedHypergraph, partition: Partition) -> bool:
     """Whether every C-edge has a repeated class and every D-edge two distinct ones.
 

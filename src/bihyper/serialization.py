@@ -83,10 +83,15 @@ def _take(doc: dict, key: str, types: tuple, required: bool = True):
     return value
 
 
+def _integers(values: list) -> bool:
+    """Whether every entry is a JSON integer; ``true`` and ``false`` load as bool, not int."""
+    return all(type(x) is int for x in values)
+
+
 def _edge_list(doc: dict, key: str) -> list[list[int]]:
     raw = _take(doc, key, (list,))
     for pos, edge in enumerate(raw):
-        if not isinstance(edge, list) or not all(isinstance(v, int) for v in edge):
+        if not isinstance(edge, list) or not _integers(edge):
             raise ValueError(f"{key}[{pos}]: an edge must be a list of integers")
     return raw
 
@@ -131,8 +136,7 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError(f"labels: {len(raw_labels)} labels for {vertex_count} vertices")
     labels = []
     for pos, entry in enumerate(raw_labels):
-        if (not isinstance(entry, list) or len(entry) != s + 1
-                or not all(isinstance(x, int) for x in entry)):
+        if not isinstance(entry, list) or len(entry) != s + 1 or not _integers(entry):
             raise ValueError(f"labels[{pos}]: expected a list of {s + 1} integers")
         try:
             labels.append(LabeledVertex(tuple(entry[:-1]), entry[-1]))

@@ -92,6 +92,14 @@ class TestVerify:
         assert main(["verify", path, "--set", "3,2"]) == 1
         assert "two distinct strict 2-colorings" in capsys.readouterr().out
 
+    def test_boolean_edge_vertex_is_a_usage_error(self, tmp_path, capsys):
+        doc = json.loads(serialize(construct([3, 2])))
+        doc["c_edges"][0] = [True, False, 2]
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--set", "3,2"]) == 2
+        assert "an edge must be a list of integers" in capsys.readouterr().err
+
 
 class TestMinSearch:
     def test_certified_none(self, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import combinations
 
@@ -183,6 +184,49 @@ class TestKernel:
         assert sorted(found) == [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2),
                                  (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)]
         assert nodes == 3 + 2 * 3
+
+
+def is_restricted_growth(labels) -> bool:
+    """Whether each label is at most one above every label before it, starting from 0."""
+    top = -1
+    for c in labels:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
+
+
+class TestCanonicalOutput:
+    """Reported colorings skip Partition's relabeling, so pin that they are canonical."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reported_partitions_equal_their_rebuilt_form(self, rng, threads):
+        for _ in range(6):
+            h = random_mixed_hypergraph(rng, v_min=2, v_max=8)
+            order = list(range(h.vertex_count))
+            rng.shuffle(order)
+            for p in enumerate_strict_colorings(h, order=order, threads=threads).colorings:
+                rebuilt = Partition(p.labels)
+                assert p == rebuilt and p.labels == rebuilt.labels
+                assert hash(p) == hash(rebuilt)
+                assert pickle.loads(pickle.dumps(p)) == rebuilt
+
+    def test_lazy_colorings_are_restricted_growth(self, rng):
+        for _ in range(20):
+            h = random_mixed_hypergraph(rng, v_min=1, v_max=8)
+            order = list(range(h.vertex_count))
+            rng.shuffle(order)
+            for p in iter_strict_colorings(h, order):
+                assert is_restricted_growth(p.labels)
+                assert p == Partition(p.labels)
+
+    def test_more_than_255_classes(self):
+        # complete D-graph: only the all-distinct coloring; labels must not be capped at a byte
+        n = 300
+        h = build_hypergraph(n, [], combinations(range(n), 2))
+        rep = enumerate_strict_colorings(h, order=reversed(range(n)))
+        assert [p.labels for p in rep.colorings] == [tuple(range(n))]
+        assert rep.nodes_explored == n * (n + 1) // 2 == 45_150
 
 
 class TestOrderAndDeterminism:

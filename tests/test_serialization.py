@@ -102,6 +102,20 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="exceed the per-position bounds"):
             parse(json.dumps(doc))
 
+    def test_boolean_vertex_in_edge(self):
+        # JSON booleans load as bool, a subclass of int; they must not pass as vertices 1 and 0
+        doc = json.loads(serialize(build_bi_hypergraph(3, [[0, 1, 2]])))
+        doc["c_edges"] = doc["d_edges"] = [[True, False, 2]]
+        with pytest.raises(ValueError, match=r"c_edges\[0\]: an edge must be a list of integers"):
+            parse(json.dumps(doc))
+
+    def test_boolean_label_entry(self):
+        doc = json.loads(serialize(construct([3, 2])))
+        pos = doc["labels"].index([1, 1, 0])
+        doc["labels"][pos] = [True, True, 0]
+        with pytest.raises(ValueError, match=rf"labels\[{pos}\]: expected a list of 3 integers"):
+            parse(json.dumps(doc))
+
     def test_unsupported_version(self):
         doc = json.loads(serialize(build_hypergraph(2)))
         doc["format_version"] = 99
