@@ -93,8 +93,10 @@ class LabeledVertex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(self.coords))
-        if self.flag not in (0, 1):
+        if type(self.flag) is not int or self.flag not in (0, 1):
             raise ValueError(f"flag must be 0 or 1, got {self.flag}")
+        if any(type(x) is not int for x in self.coords):
+            raise ValueError(f"coordinates must be integers, got {self.coords}")
         if any(x < 1 for x in self.coords):
             raise ValueError(f"coordinates must be >= 1, got {self.coords}")
 
@@ -189,13 +191,35 @@ def deleted_label(spec: FeasibleSpec) -> LabeledVertex:
 
 
 def _coordinate_rule_edges(labels: tuple[LabeledVertex, ...]) -> list[tuple[int, int, int]]:
-    width = len(labels[0].full)
+    """Every triple ``a < b < c`` of labels showing two distinct values in each position.
+
+    Per-pair bitmask rule: ``holders[j][x]`` is the bitmask of the vertices
+    whose j-th full-tuple entry is ``x``.  For a pair ``a < b`` the third
+    vertex ``c > b`` must, at each position j, differ from both when
+    ``fa[j] == fb[j]`` (clear ``holders[j][fa[j]]``) and repeat one of them
+    otherwise (AND with ``holders[j][fa[j]] | holders[j][fb[j]]``).  The set
+    bits left are exactly the valid ``c``; emitting them low to high keeps
+    the ``itertools.combinations`` order.  Labels are distinct, so some
+    position differs and every mask ends finite.
+    """
     fulls = [v.full for v in labels]
+    holders: list[dict[int, int]] = [{} for _ in fulls[0]]
+    for i, full in enumerate(fulls):
+        bit = 1 << i
+        for column, x in zip(holders, full):
+            column[x] = column.get(x, 0) | bit
     edges = []
-    for a, b, c in combinations(range(len(labels)), 3):
-        fa, fb, fc = fulls[a], fulls[b], fulls[c]
-        if all(len({fa[j], fb[j], fc[j]}) == 2 for j in range(width)):
-            edges.append((a, b, c))
+    for a, b in combinations(range(len(fulls)), 2):
+        mask = -1 << (b + 1)
+        for column, xa, xb in zip(holders, fulls[a], fulls[b]):
+            if xa == xb:
+                mask &= ~column[xa]
+            else:
+                mask &= column[xa] | column[xb]
+        while mask:
+            low = mask & -mask
+            edges.append((a, b, low.bit_length() - 1))
+            mask ^= low
     return edges
 
 

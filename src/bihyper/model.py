@@ -27,6 +27,9 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
     edges: set[tuple[int, ...]] = set()
     for raw in family:
         verts = list(raw)
+        if not set(map(type, verts)) <= {int}:
+            bad = next(v for v in verts if type(v) is not int)
+            raise ValueError(f"{kind}-edge {verts}: vertex {bad!r} is not an integer")
         if len(set(verts)) != len(verts):
             raise ValueError(f"{kind}-edge {verts}: repeated vertex inside the edge")
         if len(verts) < 2:
@@ -74,11 +77,31 @@ class MixedHypergraph:
         return tuple(e for e in self.c_edges if e in d)
 
 
+def _normalized_hypergraph(vertex_count: int, c_edges: tuple[tuple[int, ...], ...],
+                           d_edges: tuple[tuple[int, ...], ...]) -> MixedHypergraph:
+    """Wrap edge families as a MixedHypergraph without normalizing them again.
+
+    Trusted path: the caller guarantees that each family is already in the
+    form ``_normalize_family`` returns for ``vertex_count`` (a sorted tuple
+    of distinct, strictly increasing, in-range index tuples).  Only a
+    negative ``vertex_count`` is refused; any other unchecked input yields
+    a value the public constructor would have rejected.  Arbitrary families
+    go through :func:`build_hypergraph`.
+    """
+    if vertex_count < 0:
+        raise ValueError("vertex_count must be nonnegative")
+    h = object.__new__(MixedHypergraph)
+    object.__setattr__(h, "vertex_count", vertex_count)
+    object.__setattr__(h, "c_edges", c_edges)
+    object.__setattr__(h, "d_edges", d_edges)
+    return h
+
+
 def build_hypergraph(vertex_count: int,
                      c_edges: Iterable[Iterable[int]] = (),
                      d_edges: Iterable[Iterable[int]] = ()) -> MixedHypergraph:
     """Validate, deduplicate and sort the edge families into a hypergraph."""
-    return MixedHypergraph(
+    return _normalized_hypergraph(
         vertex_count,
         _normalize_family(c_edges, vertex_count, "C"),
         _normalize_family(d_edges, vertex_count, "D"),
@@ -89,7 +112,7 @@ def build_bi_hypergraph(vertex_count: int,
                         edges: Iterable[Iterable[int]]) -> MixedHypergraph:
     """Build a hypergraph whose C- and D-families are the same edge set."""
     family = _normalize_family(edges, vertex_count, "bi")
-    return MixedHypergraph(vertex_count, family, family)
+    return _normalized_hypergraph(vertex_count, family, family)
 
 
 def induced_subhypergraph(
@@ -105,15 +128,16 @@ def induced_subhypergraph(
         if not (0 <= v < h.vertex_count):
             raise ValueError(f"subset vertex {v} out of range for vertex_count={h.vertex_count}")
     old_to_new = {v: i for i, v in enumerate(keep)}
-    inside = old_to_new.keys()
+    inside = set(keep)
 
+    # The relabel is increasing, so kept edges stay increasing and in order.
     def translate(family: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(
-            tuple(old_to_new[v] for v in e) for e in family
-            if all(v in inside for v in e)))
+        return tuple(tuple(map(old_to_new.__getitem__, e)) for e in family
+                     if inside.issuperset(e))
 
-    sub = MixedHypergraph(len(keep), translate(h.c_edges), translate(h.d_edges))
-    return sub, old_to_new
+    c_edges = translate(h.c_edges)
+    d_edges = c_edges if h.d_edges == h.c_edges else translate(h.d_edges)
+    return _normalized_hypergraph(len(keep), c_edges, d_edges), old_to_new
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ ordered by their full label tuple (flag last), so serialization is
 deterministic and ``parse(serialize(x)) == x`` holds byte-for-byte once a
 value is normalized.  Labeled constructions embed their label tuples and
 enough metadata to rebuild the construction record; plain hypergraphs
-carry only indices.
+carry only indices.  Each list of edge or label rows is emitted by one
+encoder call, and parsing accepts a list of integer rows in one pass.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
 from .model import MixedHypergraph, build_hypergraph
@@ -34,7 +36,8 @@ class HypergraphDocument:
 
     def to_text(self) -> str:
         def inline(rows) -> str:
-            return "[" + ", ".join(json.dumps(list(r), separators=(",", ":")) for r in rows) + "]"
+            # Rows hold only ints, so "],[" occurs only between rows.
+            return json.dumps(rows, separators=(",", ":")).replace("],[", "], [")
 
         lines = [
             f'  "format_version": {self.format_version},',
@@ -90,6 +93,8 @@ def _integers(values: list) -> bool:
 
 def _edge_list(doc: dict, key: str) -> list[list[int]]:
     raw = _take(doc, key, (list,))
+    if set(map(type, raw)) <= {list} and set(map(type, chain.from_iterable(raw))) <= {int}:
+        return raw
     for pos, edge in enumerate(raw):
         if not isinstance(edge, list) or not _integers(edge):
             raise ValueError(f"{key}[{pos}]: an edge must be a list of integers")

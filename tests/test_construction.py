@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from bihyper.colorings import chromatic_spectrum, enumerate_strict_colorings
+from bihyper.colorings import (chromatic_spectrum, enumerate_strict_colorings,
+                               is_one_realization)
 from bihyper.construction import (FeasibleSpec, LabeledVertex, canonical_coloring,
                                   canonical_colorings, construct, deleted_label,
                                   min_size, reduction_bijection, special_edge_labels)
@@ -17,6 +18,13 @@ def all_specs(n1_max: int, sizes=(2, 3, 4)) -> list[FeasibleSpec]:
         for values in combinations(range(n1_max, 1, -1), size):
             out.append(FeasibleSpec(values))
     return out
+
+
+def coordinate_rule_oracle(labels) -> set[tuple[int, int, int]]:
+    """Every triple of labels with exactly two distinct values per position, by direct scan."""
+    fulls = [label.full for label in labels]
+    return {(a, b, c) for a, b, c in combinations(range(len(fulls)), 3)
+            if all(len({x, y, z}) == 2 for x, y, z in zip(fulls[a], fulls[b], fulls[c]))}
 
 
 class TestFeasibleSpec:
@@ -108,6 +116,16 @@ class TestConstructI:
                 else:
                     assert all(d == 2 for d in distinct)
 
+    def test_coordinate_rule_completeness(self):
+        # every triple the rule admits is an edge, and nothing else but the special edge is
+        for spec in all_specs(9, sizes=range(2, 9)):
+            built = construct(spec, "I")
+            expected = coordinate_rule_oracle(built.labels)
+            index = built.label_index()
+            special = tuple(sorted(index[l] for l in special_edge_labels(spec)))
+            assert set(built.hypergraph.c_edges) == expected | {special}
+            assert set(construct(spec, "I", drop_special=True).hypergraph.c_edges) == expected
+
     def test_is_bi_and_3_uniform(self):
         h = construct([5, 3, 2]).hypergraph
         assert h.is_bi() and h.is_3_uniform()
@@ -191,8 +209,16 @@ class TestOneRealizationDeskScale:
             assert all(c <= 1 for c in rep.spectrum.counts)
             assert set(rep.colorings) == set(canonical_colorings(built))
 
+    def test_sweep_up_to_n1_10_is_one_realization(self):
+        for spec in all_specs(10, sizes=range(2, 10)):
+            built = construct(spec)
+            cert = is_one_realization(built.hypergraph, spec.values)
+            assert cert.ok, (spec.values, cert.failure)
+            assert list(cert.witnesses) == sorted(canonical_colorings(built),
+                                                  key=lambda p: p.class_count)
+
     def test_min_size_matches_auto_except_refuted_regime(self):
-        for spec in all_specs(6):
+        for spec in all_specs(10, sizes=range(2, 10)):
             built = construct(spec)
             if spec.s == 2 and spec.n2 == spec.n1 - 1:
                 # the formula's value is exhaustively unattainable here; the
@@ -232,6 +258,14 @@ class TestLabeledVertex:
             LabeledVertex((1, 2), 2)
         with pytest.raises(ValueError):
             LabeledVertex((0, 1), 0)
+        with pytest.raises(ValueError, match="flag must be 0 or 1"):
+            LabeledVertex((1, 2), True)
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            LabeledVertex((1.0, 2), 0)
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            LabeledVertex((True, 2), 0)
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            LabeledVertex(("2", 1), 0)
         assert str(LabeledVertex((2, 1), 0)) == "(2,1,0)"
 
     def test_drop_first(self):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import pickle
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bihyper.model import (ImproperColoringError, MixedHypergraph, Partition,
                            VertexBijection, build_bi_hypergraph, build_hypergraph,
@@ -46,6 +47,19 @@ class TestBuildHypergraph:
         with pytest.raises(ValueError, match="at least 2"):
             build_hypergraph(3, [[0]], [])
 
+    @pytest.mark.parametrize("vertex", [False, True, 1.0, "a", None, [1]])
+    def test_non_integer_vertex(self, vertex):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build_hypergraph(5, [[3, vertex, 4]], [])
+        with pytest.raises(ValueError, match="is not an integer"):
+            build_bi_hypergraph(5, [[vertex, 4]])
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_hypergraph(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_bi_hypergraph(-1, [])
+
     def test_unnormalized_direct_construction_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             MixedHypergraph(3, ((1, 0, 2),), ())
@@ -79,6 +93,26 @@ class TestInducedSubhypergraph:
     def test_subset_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             induced_subhypergraph(bi(3, []), [0, 5])
+
+
+class TestTrustedBuilders:
+    """The builders skip the constructor's check; their values must be the checked ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_builders_equal_the_checked_constructor(self, data):
+        v = data.draw(st.integers(2, 7))
+        edge = st.lists(st.integers(0, v - 1), min_size=2, max_size=min(4, v), unique=True)
+        c = data.draw(st.lists(edge, max_size=8))
+        d = data.draw(st.lists(edge, max_size=8))
+        c += [e[::-1] for e in c[:3]]  # duplicates, listed in reverse
+        subset = data.draw(st.lists(st.integers(0, v - 1), max_size=v))
+        built = [build_hypergraph(v, c, d), build_bi_hypergraph(v, c)]
+        built += [induced_subhypergraph(h, subset)[0] for h in built]
+        for h in built:
+            checked = MixedHypergraph(h.vertex_count, h.c_edges, h.d_edges)
+            assert h == checked and hash(h) == hash(checked)
+            assert pickle.loads(pickle.dumps(h)) == h
 
 
 class TestPartition:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihyper.construction import construct
 from bihyper.model import build_bi_hypergraph, build_hypergraph
@@ -38,6 +41,18 @@ class TestRoundTrip:
             h = random_mixed_hypergraph(rng, v_min=1, v_max=8)
             assert parse(serialize(h)) == h
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_every_accepted_hypergraph_round_trips(self, v, data):
+        # a vertex the builder accepts must be one the parser accepts back
+        vertex = st.integers(-1, v) | st.sampled_from([False, True, 1.0, 2.5, "a", None, [0]])
+        family = st.lists(st.lists(vertex, max_size=4), max_size=5)
+        try:
+            h = build_hypergraph(v, data.draw(family), data.draw(family))
+        except ValueError:
+            return
+        assert parse(serialize(h)) == h
+
     def test_unproven_flag_round_trips(self):
         built = construct([4, 2], "II")
         assert built.unproven_regime
@@ -65,6 +80,20 @@ class TestDeterminism:
                 assert seen[text] == h
             seen[text] = h
         assert len({serialize(h) for h in seen.values()}) == len(set(seen.values()))
+
+
+    def test_construction_bytes_are_pinned(self):
+        # sha256 of the documents for every S with n1 <= 8, every variant, with
+        # and without the special edge, as written before the single-call encoder
+        digest = hashlib.sha256()
+        for size in range(2, 8):
+            for values in combinations(range(8, 1, -1), size):
+                for variant in ("auto", "I", "II"):
+                    for drop in (False, True):
+                        built = construct(values, variant, drop_special=drop)
+                        digest.update(serialize(built).encode())
+        assert digest.hexdigest() == \
+            "dbccf75f06413d887362a34ff7c75c97f7211874be41482fc3ee6e58ed94af0f"
 
 
 class TestParseErrors:
