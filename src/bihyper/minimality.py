@@ -7,18 +7,18 @@ representative per isomorphism class (the numerically smallest mask over
 all vertex relabelings, brute-forced over the ``v!`` permutations, which is
 cheap at this scale).
 
-Certification walks the stream and checks each instance against a table
-built once per ``v``: one row per set partition of the ``v`` vertices,
-holding the partition's class count and a bitmask of the triples it does
-not 2-colour (the rainbow and the monochromatic ones).  A partition is a
-strict coloring of the instance with edge mask ``M`` exactly when ``M`` has
-no bit in common with that bad-triple mask, so an instance is checked by a
-scan over the Bell(v) rows that stops at the first coloring with an
-out-of-target class count or a second coloring at some class count.  The
-rows come from the search kernel itself, as the strict colorings of the
-edgeless hypergraph.  An instance that passes the table is rebuilt as a
-hypergraph and certified again by ``is_one_realization``; only that
-enumerator's certificate is ever reported.
+Certification is bit-sliced over a table built once per ``v``: one row per
+set partition of the ``v`` vertices (the strict colorings of the edgeless
+hypergraph, from the search kernel itself), holding its class count and a
+bitmask of the triples it does not 2-colour (the rainbow and the
+monochromatic ones).  A partition is a strict coloring of mask ``M`` exactly
+when ``M`` misses that bitmask.  The masks of an aligned block of up to
+``2**12`` instances become the bit positions of one integer; each row colours
+either none of them or exactly those in a precomputed subset indicator, so a
+few big-integer operations per row find, for the whole block at once, the
+instances with no out-of-target coloring and one coloring per target count.
+Each of those is rebuilt as a hypergraph and certified again by
+``is_one_realization``; only that enumerator's certificate is ever reported.
 
 Runs are budgeted by masks processed and resumable from a ``(v, mask)``
 cursor; the stream is chunked by contiguous mask ranges, which is also the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator
@@ -116,58 +117,83 @@ class SearchReport:
     cursor: tuple[int, int] | None = None
 
 
-_PARTITION_TABLES: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@cache
 def _partition_table(v: int) -> tuple[tuple[int, int], ...]:
     """``(bad_mask, class_count)`` for every set partition of ``v`` vertices, cached per ``v``.
 
     Bit ``i`` of ``bad_mask`` is set when the partition leaves triple ``i``
     rainbow or monochromatic, i.e. fails to 2-colour it.
     """
-    table = _PARTITION_TABLES.get(v)
-    if table is None:
-        triples = _triples(v)
-        rows = []
-        for p in iter_strict_colorings(MixedHypergraph(v, (), ())):
-            labels = p.labels
-            bad = 0
-            for i, (a, b, c) in enumerate(triples):
-                if len({labels[a], labels[b], labels[c]}) != 2:
-                    bad |= 1 << i
-            rows.append((bad, p.class_count))
-        # partitions with the fewest bad triples are colorings of the most
-        # instances, so checking them first ends most refutations sooner
-        rows.sort(key=lambda row: row[0].bit_count())
-        table = _PARTITION_TABLES[v] = tuple(rows)
-    return table
+    triples = _triples(v)
+    rows = []
+    for p in iter_strict_colorings(MixedHypergraph(v, (), ())):
+        labels = p.labels
+        bad = 0
+        for i, (a, b, c) in enumerate(triples):
+            if len({labels[a], labels[b], labels[c]}) != 2:
+                bad |= 1 << i
+        rows.append((bad, p.class_count))
+    return tuple(rows)
 
 
-def _table_says_one_realization(table: tuple[tuple[int, int], ...], mask: int,
-                                wanted: frozenset[int]) -> bool:
-    """Whether the instance ``mask`` has exactly one strict coloring per count in ``wanted``."""
-    seen = set()
-    for bad, k in table:
-        if not mask & bad:
-            if k in seen or k not in wanted:
-                return False
-            seen.add(k)
-    return len(seen) == len(wanted)
+@cache
+def _sliced_table(v: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """``(width, rows)`` for scanning aligned blocks of ``2**width`` masks, cached per ``v``.
+
+    Row ``(blocked_high, indicator, k)`` mirrors partition-table row ``(bad, k)``:
+    in the block of masks with ``mask >> width == H`` the partition colours
+    none when ``H & blocked_high``, else exactly the offsets ``i`` set in
+    ``indicator``, those with ``i & bad == 0``.
+    """
+    width = min(comb(v, 3), _CHUNK.bit_length() - 1)
+    rows = []
+    for bad, k in _partition_table(v):
+        indicator = 1
+        for i in range(width):
+            if not bad >> i & 1:
+                indicator |= indicator << (1 << i)
+        rows.append((bad >> width, indicator, k))
+    return width, tuple(rows)
+
+
+def _block_passes(v: int, high: int, values: tuple[int, ...]) -> int:
+    """Bitset of the offsets in block ``high`` that the table says one-realize ``values``."""
+    if max(values) > v:
+        return 0  # no partition of v vertices has that many classes
+    once, twice, fail = dict.fromkeys(values, 0), dict.fromkeys(values, 0), 0
+    for blocked_high, indicator, k in _sliced_table(v)[1]:
+        if high & blocked_high:
+            continue
+        if k in once:
+            twice[k] |= once[k] & indicator
+            once[k] |= indicator
+        else:
+            fail |= indicator
+    passes = ~fail
+    for k in values:
+        passes &= once[k] & ~twice[k]
+    return passes
 
 
 def _scan_range(payload: tuple) -> tuple[int, list[tuple[int, OneRealizationCertificate]]]:
-    """Check masks in [start, stop); returns (examined count, witness masks)."""
+    """Check masks in [start, stop) block by block; returns (examined count, witness masks)."""
     v, start, stop, values, iso_reduce = payload
-    table = _partition_table(v)
-    wanted = frozenset(values)
+    width = _sliced_table(v)[0]
     actions = _permutation_actions(v) if iso_reduce else None
     examined = 0
     witnesses = []
-    for mask in range(start, stop):
-        if actions is not None and _canonical_mask(mask, actions) != mask:
-            continue
-        examined += 1
-        if _table_says_one_realization(table, mask, wanted):
+    for base in range(start >> width << width, stop, 1 << width):
+        masks = range(max(start, base), min(stop, base + (1 << width)))
+        if actions is None:
+            live = (1 << masks.stop - base) - (1 << masks.start - base)
+        else:
+            live = sum(1 << mask - base for mask in masks
+                       if _canonical_mask(mask, actions) == mask)
+        examined += live.bit_count()
+        hits = _block_passes(v, base >> width, values) & live
+        while hits:
+            mask = base + (hits & -hits).bit_length() - 1
+            hits &= hits - 1
             cert = is_one_realization(_mask_to_hypergraph(v, _triples(v), mask), values)
             if not cert.ok:
                 raise AssertionError(

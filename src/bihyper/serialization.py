@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
-from .model import MixedHypergraph, build_hypergraph
+from .model import (MixedHypergraph, _normalize_family, _normalized_hypergraph,
+                    build_hypergraph)
 
 FORMAT_VERSION = 1
 
@@ -101,6 +102,14 @@ def _edge_list(doc: dict, key: str) -> list[list[int]]:
     return raw
 
 
+def _build(vertex_count: int, c_rows: list, d_rows: list) -> MixedHypergraph:
+    """``build_hypergraph``, normalizing the rows of a bi document once."""
+    if c_rows != d_rows:
+        return build_hypergraph(vertex_count, c_rows, d_rows)
+    family = _normalize_family(c_rows, vertex_count, "C")
+    return _normalized_hypergraph(vertex_count, family, family)
+
+
 def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     """Parse a document back into a normalized value.
 
@@ -124,8 +133,7 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError("vertex_count: must be nonnegative")
 
     try:
-        h = build_hypergraph(vertex_count, _edge_list(doc, "c_edges"),
-                             _edge_list(doc, "d_edges"))
+        h = _build(vertex_count, _edge_list(doc, "c_edges"), _edge_list(doc, "d_edges"))
     except ValueError as exc:
         raise ValueError(f"edges: {exc}") from exc
     if bi and not h.is_bi():
@@ -169,10 +177,9 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     rank = sorted(range(vertex_count), key=lambda i: labels[i].full)
     new_of_old = {old: new for new, old in enumerate(rank)}
     if rank != list(range(vertex_count)):
-        h = build_hypergraph(
-            vertex_count,
-            [[new_of_old[v] for v in e] for e in h.c_edges],
-            [[new_of_old[v] for v in e] for e in h.d_edges])
+        c_rows = [[new_of_old[v] for v in e] for e in h.c_edges]
+        h = _build(vertex_count, c_rows,
+                   c_rows if h.is_bi() else [[new_of_old[v] for v in e] for e in h.d_edges])
         labels = [labels[old] for old in rank]
 
     return LabeledHypergraph(

@@ -9,11 +9,13 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import comb
 
 from bihyper.colorings import enumerate_strict_colorings
 from bihyper.construction import (FeasibleSpec, canonical_colorings, construct,
                                   min_size, reduction_bijection)
-from bihyper.minimality import VERDICT_NONE, certify_lower_bound, enumerate_bi_hypergraphs
+from bihyper.minimality import (VERDICT_NONE, VERDICT_WITNESS, certify_lower_bound,
+                                enumerate_bi_hypergraphs)
 from bihyper.model import build_hypergraph, check_isomorphism_under_map, is_proper
 from bihyper.serialization import parse, serialize
 
@@ -157,3 +159,24 @@ def test_criterion_7_determinism_and_round_trip():
     _report("criterion 7 (round-trip + worker determinism)", ok,
             f"serialize/parse identity on all constructed instances: {round_trip_ok}; "
             f"reports identical across 1/2/4 workers: {parallel_ok}, {elapsed:.2f}s")
+
+
+def test_criterion_8_exhaustive_lower_bounds_to_six_vertices():
+    start = time.perf_counter()
+    specs = _specs(6, sizes=(2, 3, 4, 5))
+    failures = []
+    for spec in specs:
+        v_max = min(6, min_size(spec) - 1)
+        report = certify_lower_bound(spec, v_max)
+        if (report.verdict != VERDICT_NONE
+                or report.instances_examined[v_max] != 1 << comb(v_max, 3)):
+            failures.append((spec.values, v_max, report.verdict))
+    hunt = certify_lower_bound([3, 2], 6, max_witnesses=10 ** 6)
+    witnesses_ok = (hunt.verdict == VERDICT_WITNESS and len(hunt.witnesses) == 7140
+                    and all(h.vertex_count == 6 and cert.ok for h, cert in hunt.witnesses))
+    elapsed = time.perf_counter() - start
+    ok = len(specs) == 26 and not failures and witnesses_ok and elapsed < 20.0
+    _report("criterion 8 (exhaustive lower bounds to 6 vertices)", ok,
+            f"{len(specs)} specs with n1 <= 6 certified-none at min(6, min_size - 1), "
+            f"failures={failures}; {len(hunt.witnesses)} six-vertex one-realizations of "
+            f"{{3,2}} (expected 7140), {elapsed:.2f}s (budget 20 s)")

@@ -109,6 +109,12 @@ class TestMinSearch:
         assert "v=3: examined 2" in out
         assert "v=4: examined 16" in out
 
+    def test_full_six_vertex_scan(self, capsys):
+        assert main(["min-search", "--set", "4,2", "--max-vertices", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "v=6: examined 1048576 instances" in out
+        assert "certified-none" in out
+
     def test_iso_flag(self, capsys):
         assert main(["min-search", "--set", "3,2", "--max-vertices", "4", "--iso"]) == 0
         assert "v=4: examined 5" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -8,9 +9,10 @@ from bihyper import minimality
 from bihyper.colorings import (ChromaticSpectrum, OneRealizationCertificate, chromatic_spectrum,
                                enumerate_strict_colorings, is_one_realization)
 from bihyper.construction import construct
-from bihyper.minimality import (VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS,
+from bihyper.minimality import (VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS, _block_passes,
                                 _canonical_mask, _partition_table, _permutation_actions,
-                                certify_lower_bound, enumerate_bi_hypergraphs)
+                                _scan_range, _sliced_table, certify_lower_bound,
+                                enumerate_bi_hypergraphs)
 from conftest import random_mixed_hypergraph, shuffled_copy
 
 
@@ -180,6 +182,69 @@ class TestPartitionTable:
         monkeypatch.setattr(minimality, "is_one_realization", lambda h, target: refuted)
         with pytest.raises(AssertionError, match="disagree"):
             certify_lower_bound([3, 2], 6, resume=(6, mask), budget=1)
+
+
+def _table_says_one_realization(table, mask, wanted):
+    """The per-mask table walk the bit-sliced scan replaced, kept as its oracle."""
+    seen = set()
+    for bad, k in table:
+        if not mask & bad:
+            if k in seen or k not in wanted:
+                return False
+            seen.add(k)
+    return len(seen) == len(wanted)
+
+
+# the 26 target sets with n1 <= 6, then single counts: {2} is one-realized by
+# 10 masks at v=5, so not every v <= 5 ok-set is empty
+TARGETS = [values for size in range(2, 6) for values in combinations(range(6, 1, -1), size)]
+SINGLE_COUNTS = [(k,) for k in range(2, 7)]
+
+
+class TestSlicedScan:
+    def test_indicator_marks_offsets_missing_the_low_bad_bits(self):
+        for v in (3, 4, 5, 6):
+            width, rows = _sliced_table(v)
+            assert width == min(comb(v, 3), 12)
+            table = _partition_table(v)
+            assert len(rows) == len(table)
+            for (blocked_high, indicator, k), (bad, k_table) in zip(rows, table):
+                assert (blocked_high, k) == (bad >> width, k_table)
+                bad_low = bad & ((1 << width) - 1)
+                assert indicator < 1 << (1 << width)
+                assert all((indicator >> i & 1) == (i & bad_low == 0)
+                           for i in range(1 << width))
+
+    def test_ok_sets_match_the_per_mask_walk_up_to_five_vertices(self):
+        assert len(TARGETS) == 26
+        checked = hits = 0
+        for v in (3, 4, 5):
+            table = _partition_table(v)
+            total = 1 << comb(v, 3)
+            assert _sliced_table(v)[0] == total.bit_length() - 1  # one block holds them all
+            for values in TARGETS + SINGLE_COUNTS:
+                expected = sum(1 << mask for mask in range(total)
+                               if _table_says_one_realization(table, mask, set(values)))
+                assert _block_passes(v, 0, values) == expected, (v, values)
+                checked += total
+                hits += expected.bit_count()
+        assert checked == 1042 * (26 + 5)
+        assert hits == 10  # the v=5 one-realizations of {2}
+
+    @pytest.mark.parametrize("values", [(3, 2), (4, 2), (4, 3, 2), (5, 3), (6, 4, 2), (2,), (3,)])
+    def test_ok_sets_match_on_unaligned_six_vertex_ranges(self, values):
+        table = _partition_table(6)
+        built = _mask_of(construct([3, 2]).hypergraph)
+        for start, stop in ((4095, 4097), (1, 8193), (built - 5000, built + 3001),
+                            ((1 << 20) - 4097, (1 << 20) - 1)):
+            examined, found = _scan_range((6, start, stop, values, False))
+            assert examined == stop - start
+            expected = [mask for mask in range(start, stop)
+                        if _table_says_one_realization(table, mask, set(values))]
+            assert [mask for mask, cert in found] == expected
+            assert all(cert.ok for mask, cert in found)
+            if values == (3, 2) and start <= built < stop:
+                assert built in expected
 
 
 class TestWitnessHunt:

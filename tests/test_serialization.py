@@ -184,3 +184,26 @@ class TestNormalizationOnParse:
         doc["d_edges"] = [[0, 1, 3], [0, 2, 1]]
         h = parse(json.dumps(doc))
         assert h.c_edges == ((0, 1, 2), (0, 1, 3)) == h.d_edges
+
+    def test_bi_rows_are_normalized_once(self):
+        # equal C and D rows share one normalized family, also after a label reorder
+        built = construct([4, 2])
+        doc = json.loads(serialize(built))
+        h = parse(json.dumps(doc)).hypergraph
+        assert h == built.hypergraph and h.c_edges is h.d_edges
+        doc["labels"][0], doc["labels"][1] = doc["labels"][1], doc["labels"][0]
+        doc["c_edges"] = doc["d_edges"] = [[{0: 1, 1: 0}.get(v, v) for v in e]
+                                           for e in doc["c_edges"]]
+        h = parse(json.dumps(doc)).hypergraph
+        assert h == built.hypergraph and h.c_edges is h.d_edges
+
+    @pytest.mark.parametrize("c_rows, d_rows, message", [
+        ([[0, 0, 1]], [[0, 0, 1]], r"edges: C-edge \[0, 0, 1\]: repeated vertex"),
+        ([[0, 1, 2]], [[0, 1, 5]], r"edges: D-edge \[0, 1, 5\]: vertex 5 out of range"),
+        ([[0, 1, 7]], [[0, 1, 5]], r"edges: C-edge \[0, 1, 7\]: vertex 7 out of range"),
+    ])
+    def test_row_diagnostics_keep_their_order(self, c_rows, d_rows, message):
+        doc = json.loads(serialize(build_bi_hypergraph(3, [[0, 1, 2]])))
+        doc["c_edges"], doc["d_edges"] = c_rows, d_rows
+        with pytest.raises(ValueError, match=message):
+            parse(json.dumps(doc))
