@@ -151,8 +151,7 @@ def _cmd_min_search(args) -> int:
             raise UsageError(f"--resume expects V:MASK, got {args.resume!r}")
     budget = args.budget if args.budget is not None else _default_budget()
     try:
-        report = certify_lower_bound(spec, v_max, iso_reduce=args.iso, budget=budget,
-                                     resume=resume, threads=args.threads,
+        report = certify_lower_bound(spec, v_max, budget=budget, resume=resume,
                                      max_witnesses=args.max_witnesses)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -228,12 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-search", help="exhaustive small-instance one-realization search")
     p.add_argument("--set", required=True, metavar="N1,N2,...")
     p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--iso", action="store_true", help="search one instance per isomorphism class")
     p.add_argument("--resume", metavar="V:MASK")
     p.add_argument("--budget", type=int, default=None,
                    help=f"masks processed per run (default {DEFAULT_BUDGET} or ${BUDGET_ENV})")
     p.add_argument("--max-witnesses", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_min_search)
 
     p = sub.add_parser("isocheck", help="verify an explicit vertex bijection is an isomorphism")

@@ -2,10 +2,7 @@
 
 Every 3-uniform bi-hypergraph on ``v`` vertices is a subset of the
 ``C(v,3)`` vertex triples, encoded as a bitmask over the lexicographically
-sorted triple list.  The stream can optionally be reduced to one canonical
-representative per isomorphism class (the numerically smallest mask over
-all vertex relabelings, brute-forced over the ``v!`` permutations, which is
-cheap at this scale).
+sorted triple list.
 
 Certification is bit-sliced over a table built once per ``v``: one row per
 set partition of the ``v`` vertices (the strict colorings of the edgeless
@@ -21,17 +18,16 @@ Each of those is rebuilt as a hypergraph and certified again by
 ``is_one_realization``; only that enumerator's certificate is ever reported.
 
 Runs are budgeted by masks processed and resumable from a ``(v, mask)``
-cursor; the stream is chunked by contiguous mask ranges, which is also the
-unit handed to worker processes, so reports are identical for any worker
-count.
+cursor.  The scan is serial, in chunks of ``2**12`` masks counted from the
+start cursor; a witness hunt stops at the end of the chunk that reaches its
+quota, so ``masks_processed`` counts that whole chunk.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -48,47 +44,22 @@ VERDICT_WITNESS = "witness-found"
 VERDICT_ABORTED = "aborted-budget"
 
 
-def _triples(v: int) -> list[tuple[int, int, int]]:
-    return list(combinations(range(v), 3))
+@cache
+def _triples(v: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(combinations(range(v), 3))
 
 
-def _mask_to_hypergraph(v: int, triples: list[tuple[int, int, int]],
-                        mask: int) -> MixedHypergraph:
-    family = tuple(t for i, t in enumerate(triples) if mask >> i & 1)
+def _mask_to_hypergraph(v: int, mask: int) -> MixedHypergraph:
+    family = tuple(t for i, t in enumerate(_triples(v)) if mask >> i & 1)
     return MixedHypergraph(v, family, family)
 
 
-def _permutation_actions(v: int) -> list[tuple[int, ...]]:
-    """For each vertex permutation, the induced map on triple indices."""
-    triples = _triples(v)
-    where = {t: i for i, t in enumerate(triples)}
-    actions = []
-    for perm in permutations(range(v)):
-        actions.append(tuple(where[tuple(sorted((perm[a], perm[b], perm[c])))]
-                             for a, b, c in triples))
-    return actions
-
-
-def _remap_mask(mask: int, action: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << action[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _canonical_mask(mask: int, actions: list[tuple[int, ...]]) -> int:
-    return min(_remap_mask(mask, action) for action in actions)
-
-
-def enumerate_bi_hypergraphs(v: int, iso_reduce: bool = False,
+def enumerate_bi_hypergraphs(v: int,
                              vertex_cap: int = DEFAULT_VERTEX_CAP) -> Iterator[MixedHypergraph]:
     """Yield every 3-uniform bi-hypergraph on ``v`` vertices, by ascending edge mask.
 
-    With ``iso_reduce`` only canonical representatives are yielded, one per
-    isomorphism class.  ``v`` beyond ``vertex_cap`` is refused up front,
-    naming the instance count the caller would be signing up for.
+    ``v`` beyond ``vertex_cap`` is refused up front, naming the instance
+    count the caller would be signing up for.
     """
     if v < 3:
         raise ValueError("need at least 3 vertices to place a 3-uniform edge")
@@ -96,12 +67,8 @@ def enumerate_bi_hypergraphs(v: int, iso_reduce: bool = False,
         raise ValueError(
             f"{v} vertices means 2**{comb(v, 3)} = {2 ** comb(v, 3)} instances, over the "
             f"cap of {vertex_cap} vertices; raise vertex_cap if you mean it")
-    triples = _triples(v)
-    actions = _permutation_actions(v) if iso_reduce else None
-    for mask in range(1 << len(triples)):
-        if actions is not None and _canonical_mask(mask, actions) != mask:
-            continue
-        yield _mask_to_hypergraph(v, triples, mask)
+    for mask in range(1 << comb(v, 3)):
+        yield _mask_to_hypergraph(v, mask)
 
 
 @dataclass
@@ -175,50 +142,40 @@ def _block_passes(v: int, high: int, values: tuple[int, ...]) -> int:
     return passes
 
 
-def _scan_range(payload: tuple) -> tuple[int, list[tuple[int, OneRealizationCertificate]]]:
-    """Check masks in [start, stop) block by block; returns (examined count, witness masks)."""
-    v, start, stop, values, iso_reduce = payload
+def _scan_range(v: int, start: int, stop: int, values: tuple[int, ...]
+                ) -> list[tuple[MixedHypergraph, OneRealizationCertificate]]:
+    """Check masks in [start, stop) block by block; returns the certified witnesses by mask."""
     width = _sliced_table(v)[0]
-    actions = _permutation_actions(v) if iso_reduce else None
-    examined = 0
     witnesses = []
     for base in range(start >> width << width, stop, 1 << width):
-        masks = range(max(start, base), min(stop, base + (1 << width)))
-        if actions is None:
-            live = (1 << masks.stop - base) - (1 << masks.start - base)
-        else:
-            live = sum(1 << mask - base for mask in masks
-                       if _canonical_mask(mask, actions) == mask)
-        examined += live.bit_count()
+        live = (1 << min(stop, base + (1 << width)) - base) - (1 << max(start, base) - base)
         hits = _block_passes(v, base >> width, values) & live
         while hits:
             mask = base + (hits & -hits).bit_length() - 1
             hits &= hits - 1
-            cert = is_one_realization(_mask_to_hypergraph(v, _triples(v), mask), values)
+            h = _mask_to_hypergraph(v, mask)
+            cert = is_one_realization(h, values)
             if not cert.ok:
                 raise AssertionError(
                     f"partition table and enumerator disagree on v={v} mask={mask}: "
                     f"{cert.failure}")
-            witnesses.append((mask, cert))
-    return examined, witnesses
+            witnesses.append((h, cert))
+    return witnesses
 
 
 def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = None, *,
-                        iso_reduce: bool = False,
                         budget: int = DEFAULT_BUDGET,
                         resume: tuple[int, int] | None = None,
-                        threads: int = 1,
                         max_witnesses: int = 1) -> SearchReport:
     """Search every 3-uniform bi-hypergraph on 3..v_max vertices for one-realizations.
 
     A ``v_max`` below the known optimum certifies the lower bound when the
     verdict is ``certified-none``; running at the optimum instead hunts for
-    witnesses.  The budget counts masks processed (including ones skipped
-    as non-canonical under ``iso_reduce``); exceeding it aborts with a
-    resumable ``(v, mask)`` cursor.  A budget below 1, a ``v_max`` below 3
+    witnesses.  The budget counts masks processed; exceeding it aborts with
+    a resumable ``(v, mask)`` cursor.  A budget below 1, a ``v_max`` below 3
     (an empty search range) and a ``resume`` cursor outside the search range
-    raise ``ValueError``.  The search stops once ``max_witnesses``
-    one-realizations are in hand.
+    raise ``ValueError``.  The search stops at the end of the chunk in which
+    ``max_witnesses`` one-realizations are in hand.
     """
     spec = FeasibleSpec.of(spec)
     if max_witnesses < 1:
@@ -240,43 +197,23 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
         if not 0 <= start_mask < 1 << comb(start_v, 3):
             raise ValueError(f"resume cursor mask {start_mask} is outside "
                              f"[0, 2**{comb(start_v, 3)}) for v={start_v}")
-    examined: dict[int, int] = {v: 0 for v in counts}
+    examined = dict.fromkeys(counts, 0)
     witnesses: list[tuple[MixedHypergraph, OneRealizationCertificate]] = []
     processed = 0
-
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for v in counts:
-            if v < start_v:
-                continue
-            triples = _triples(v)
-            total = 1 << len(triples)
-            start = start_mask if v == start_v else 0
-            allowed_end = min(total, start + max(0, budget - processed))
-            bounds = [(a, min(a + _CHUNK, allowed_end))
-                      for a in range(start, allowed_end, _CHUNK)]
-            payloads = [(v, a, b, spec.values, iso_reduce) for a, b in bounds]
-            if pool is None:
-                results = map(_scan_range, payloads)
-            else:
-                futures = [pool.submit(_scan_range, p) for p in payloads]
-                results = (f.result() for f in futures)
-            for (a, b), (chunk_examined, found) in zip(bounds, results):
-                examined[v] += chunk_examined
-                processed += b - a
-                for witness_mask, cert in found:
-                    witnesses.append((_mask_to_hypergraph(v, triples, witness_mask), cert))
-                if len(witnesses) >= max_witnesses:
-                    if pool is not None:
-                        for f in futures:
-                            f.cancel()
-                    return SearchReport(spec, counts, examined, witnesses[:max_witnesses],
-                                        VERDICT_WITNESS, processed)
-            if allowed_end < total:
-                return SearchReport(spec, counts, examined, witnesses,
-                                    VERDICT_ABORTED, processed, cursor=(v, allowed_end))
-        verdict = VERDICT_WITNESS if witnesses else VERDICT_NONE
-        return SearchReport(spec, counts, examined, witnesses, verdict, processed)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for v in range(start_v, v_max + 1):
+        total = 1 << comb(v, 3)
+        start = start_mask if v == start_v else 0
+        end = min(total, start + budget - processed)
+        for a in range(start, end, _CHUNK):
+            b = min(a + _CHUNK, end)
+            witnesses += _scan_range(v, a, b, spec.values)
+            examined[v] += b - a
+            processed += b - a
+            if len(witnesses) >= max_witnesses:
+                return SearchReport(spec, counts, examined, witnesses[:max_witnesses],
+                                    VERDICT_WITNESS, processed)
+        if end < total:
+            return SearchReport(spec, counts, examined, witnesses,
+                                VERDICT_ABORTED, processed, cursor=(v, end))
+    verdict = VERDICT_WITNESS if witnesses else VERDICT_NONE
+    return SearchReport(spec, counts, examined, witnesses, verdict, processed)

@@ -115,9 +115,10 @@ class TestMinSearch:
         assert "v=6: examined 1048576 instances" in out
         assert "certified-none" in out
 
-    def test_iso_flag(self, capsys):
-        assert main(["min-search", "--set", "3,2", "--max-vertices", "4", "--iso"]) == 0
-        assert "v=4: examined 5" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", [["--iso"], ["--threads", "2"]])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_budget_abort_and_resume(self, capsys):
         assert main(["min-search", "--set", "3,2", "--max-vertices", "4",

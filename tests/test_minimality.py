@@ -10,8 +10,7 @@ from bihyper.colorings import (ChromaticSpectrum, OneRealizationCertificate, chr
                                enumerate_strict_colorings, is_one_realization)
 from bihyper.construction import construct
 from bihyper.minimality import (VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS, _block_passes,
-                                _canonical_mask, _partition_table, _permutation_actions,
-                                _scan_range, _sliced_table, certify_lower_bound,
+                                _partition_table, _scan_range, _sliced_table, certify_lower_bound,
                                 enumerate_bi_hypergraphs)
 from conftest import random_mixed_hypergraph, shuffled_copy
 
@@ -21,10 +20,6 @@ class TestStream:
         assert len(list(enumerate_bi_hypergraphs(3))) == 2
         assert len(list(enumerate_bi_hypergraphs(4))) == 16
         assert len(list(enumerate_bi_hypergraphs(5))) == 1024
-
-    def test_iso_reduced_counts(self):
-        assert len(list(enumerate_bi_hypergraphs(3, iso_reduce=True))) == 2
-        assert len(list(enumerate_bi_hypergraphs(4, iso_reduce=True))) == 5
 
     def test_instances_are_bi_and_3_uniform(self):
         for h in enumerate_bi_hypergraphs(4):
@@ -41,18 +36,6 @@ class TestStream:
         gen = enumerate_bi_hypergraphs(7, vertex_cap=7)
         assert next(gen).vertex_count == 7
 
-    def test_orbits_of_representatives_cover_everything(self):
-        # the reduced stream, expanded by all vertex permutations, is the full stream
-        for v in (4, 5):
-            actions = _permutation_actions(v)
-            total = 1 << len(actions[0])
-            reps = [mask for mask in range(total) if _canonical_mask(mask, actions) == mask]
-            covered = set()
-            for mask in reps:
-                covered.update(_remap(mask, a) for a in actions)
-            assert covered == set(range(total))
-            assert len(list(enumerate_bi_hypergraphs(v, iso_reduce=True))) == len(reps)
-
     def test_spectrum_is_isomorphism_invariant(self, rng):
         for _ in range(10):
             h = random_mixed_hypergraph(rng, v_min=3, v_max=6)
@@ -67,11 +50,6 @@ def _mask_of(h):
     return sum(1 << triple_index[e] for e in h.c_edges)
 
 
-def _remap(mask, action):
-    from bihyper.minimality import _remap_mask
-    return _remap_mask(mask, action)
-
-
 class TestCertify:
     def test_no_small_one_realization_of_three_two(self):
         report = certify_lower_bound([3, 2], 4)
@@ -80,17 +58,6 @@ class TestCertify:
         assert report.instances_examined == {3: 2, 4: 16}
         assert report.masks_processed == 18
         assert report.witnesses == []
-
-    def test_iso_reduction_examines_representatives_only(self):
-        report = certify_lower_bound([3, 2], 4, iso_reduce=True)
-        assert report.verdict == VERDICT_NONE
-        assert report.instances_examined == {3: 2, 4: 5}
-        assert report.masks_processed == 18  # budget counts masks, not survivors
-        serial = certify_lower_bound([3, 2], 5)
-        reduced = certify_lower_bound([3, 2], 5, iso_reduce=True)
-        assert reduced.instances_examined == {3: 2, 4: 5, 5: 34}
-        assert (reduced.verdict, reduced.witnesses, reduced.masks_processed, reduced.cursor) == \
-            (serial.verdict, serial.witnesses, serial.masks_processed, serial.cursor)
 
     def test_hunt_at_formula_size_finds_nothing_for_three_two(self):
         # the formula says 5, but the exhaustive stream refutes attainability
@@ -144,10 +111,28 @@ class TestCertify:
         report = certify_lower_bound([3, 2], budget=10_000)
         assert report.vertex_counts_searched == (3, 4)
 
-    def test_thread_count_does_not_change_report(self):
-        seq = certify_lower_bound([3, 2], 5)
-        par = certify_lower_bound([3, 2], 5, threads=2)
-        assert seq == par
+    def test_witness_stop_counts_to_the_end_of_its_chunk(self):
+        # chunks of 4096 masks start at the resume cursor: the first {3,2}
+        # witness after 400573 is at 401849, and the search still processes
+        # the whole chunk [400573, 404669) before it stops
+        report = certify_lower_bound([3, 2], 6, resume=(6, 400573))
+        assert report.verdict == VERDICT_WITNESS
+        assert report.masks_processed == 4096
+        assert report.instances_examined == {3: 0, 4: 0, 5: 0, 6: 4096}
+        assert report.cursor is None
+        assert [_mask_of(h) for h, cert in report.witnesses] == [401849]
+        three = certify_lower_bound([3, 2], 6, resume=(6, 400573), max_witnesses=3)
+        assert three.verdict == VERDICT_WITNESS
+        assert three.masks_processed == 4096
+        assert [_mask_of(h) for h, cert in three.witnesses] == [401849, 402105, 402235]
+
+    def test_witness_in_a_budget_cut_chunk(self):
+        # the budget ends the only chunk at 403670, past the witness at 401849
+        report = certify_lower_bound([3, 2], 6, resume=(6, 399670), budget=4000)
+        assert report.verdict == VERDICT_WITNESS
+        assert report.masks_processed == 4000
+        assert report.instances_examined[6] == 4000
+        assert [_mask_of(h) for h, cert in report.witnesses] == [401849]
 
     @pytest.mark.parametrize("cursor", [(9, 0), (2, 0), (4, 10 ** 6), (4, 16), (4, -1)])
     def test_resume_cursor_outside_range_is_refused(self, cursor):
@@ -237,12 +222,11 @@ class TestSlicedScan:
         built = _mask_of(construct([3, 2]).hypergraph)
         for start, stop in ((4095, 4097), (1, 8193), (built - 5000, built + 3001),
                             ((1 << 20) - 4097, (1 << 20) - 1)):
-            examined, found = _scan_range((6, start, stop, values, False))
-            assert examined == stop - start
+            found = _scan_range(6, start, stop, values)
             expected = [mask for mask in range(start, stop)
                         if _table_says_one_realization(table, mask, set(values))]
-            assert [mask for mask, cert in found] == expected
-            assert all(cert.ok for mask, cert in found)
+            assert [_mask_of(h) for h, cert in found] == expected
+            assert all(cert.ok for h, cert in found)
             if values == (3, 2) and start <= built < stop:
                 assert built in expected
 
