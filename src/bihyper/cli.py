@@ -101,7 +101,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     value = _load(args.file)
-    report = enumerate_strict_colorings(_plain(value), threads=args.threads)
+    report = enumerate_strict_colorings(_plain(value), limit=0, threads=args.threads)
     spectrum = report.spectrum
     if args.json:
         print(json.dumps({

@@ -19,25 +19,33 @@ visited depth, pruned or not.
 Correctness is independent of the vertex order; the default order
 (descending edge degree, ties by index) just makes the pruning bite early.
 The search's labels are restricted-growth in search order, not in index
-order.  Each found coloring is relabeled to index order by a rank table
-looked up from its classes' first-appearance pattern (the classes listed
-by their first vertex in index order); each walk caches one table per
-pattern, and few patterns occur, so nothing downstream re-canonicalizes.
-Colorings are reported sorted by their encodings, so reports are
-deterministic, including when the search tree is split across worker
-processes.
+order, so a k-coloring's labels are ``0..k-1`` and their maximum plus one
+is its class count.  A report is built from all the leaves at once, with
+C-level ``map`` calls and no Python loop per coloring.  Each leaf is copied
+to ``bytes`` (labels are below n, so a byte holds them when n <= 256;
+larger n keeps tuples and takes the same steps); its classes, listed by
+their first vertex in index order, form its pattern, whose length is its
+class count.  One translation table per distinct pattern ranks those
+classes ``0, 1, ...``, which relabels the leaf to the canonical
+restricted-growth form in index order, and few patterns occur, so nothing
+downstream re-canonicalizes.  Colorings are reported sorted by their
+encodings (for equal-length ``bytes`` memcmp order is tuple order), so
+reports are deterministic, including when the search tree is split across
+worker processes; only the kept rows become tuples and Partitions.  A
+spectrum-only call (``limit=0``) tallies each leaf's maximum label and
+builds nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import MixedHypergraph, Partition, _canonical_partition
+from .model import MixedHypergraph, Partition, _canonical_partition, _canonical_partitions
 
 _SPLIT_DEPTH = 4  # tree levels explored before handing branches to workers
+_BYTE_LABELS = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -185,8 +193,8 @@ class _Searcher:
             used_at[depth] = used
         self.nodes += nodes
 
-    def canonical(self, prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
-        """Yield the labels of every coloring ``walk(prefix)`` reaches, in canonical form.
+    def canonical(self) -> Iterator[tuple[int, ...]]:
+        """Yield the labels of every coloring, one at a time, in canonical form.
 
         Each yielded tuple is the restricted-growth encoding in vertex index
         order, exactly what ``Partition(labels).labels`` would hold, so it
@@ -195,14 +203,11 @@ class _Searcher:
         table, cached per pattern for this walk, that ranks them ``0, 1, ...``.
         """
         ranks: dict[tuple[int, ...], Callable[[int], int]] = {}
-        for labels in self.walk(prefix):
+        for labels in self.walk():
             first = tuple(dict.fromkeys(labels))
             rank = ranks.get(first)
             if rank is None:
-                table = [0] * len(first)
-                for i, c in enumerate(first):
-                    table[c] = i
-                rank = ranks[first] = table.__getitem__
+                rank = ranks[first] = _rank_table(first).__getitem__
             yield tuple(map(rank, labels))
 
     def colorings(self) -> Iterator[Partition]:
@@ -237,9 +242,53 @@ def iter_strict_colorings(h: MixedHypergraph,
 
 
 def _expand_prefix(payload: tuple) -> tuple[list[tuple[int, ...]], int]:
+    """A worker's share: the raw walk labels under one prefix, and the nodes it explored."""
     vertex_count, c_edges, d_edges, order, prefix = payload
     searcher = _Searcher(MixedHypergraph(vertex_count, c_edges, d_edges), order)
-    return list(searcher.canonical(prefix)), searcher.nodes
+    return list(map(tuple, searcher.walk(prefix))), searcher.nodes
+
+
+def _byte_table(first: bytes) -> bytes:
+    return bytes.maketrans(first, _BYTE_LABELS[:len(first)])
+
+
+def _rank_table(first: Sequence[int]) -> list[int]:
+    """``table[c]`` is the rank of class ``c`` in ``first``, a leaf's classes by first vertex."""
+    table = [0] * len(first)
+    for i, c in enumerate(first):
+        table[c] = i
+    return table
+
+
+def _translate_tuple(leaf: tuple[int, ...], table: list[int]) -> tuple[int, ...]:
+    return tuple(map(table.__getitem__, leaf))
+
+
+def _collect(walked: Iterable[Sequence[int]], vertex_count: int,
+             limit: int | None) -> tuple[tuple[Partition, ...], ChromaticSpectrum]:
+    """The sorted canonical colorings, cut to ``limit``, and the spectrum of every leaf.
+
+    ``walked`` yields raw walk labels (restricted-growth in search order);
+    each is copied as it arrives, so a live list may be passed.
+    """
+    if limit == 0:
+        return (), ChromaticSpectrum.from_class_counts(map((1).__add__, map(max, walked)))
+    if vertex_count <= 256:
+        codec, make_table, translate = bytes, _byte_table, bytes.translate
+    else:
+        codec, make_table, translate = tuple, _rank_table, _translate_tuple
+    leaves = list(map(codec, walked))
+    firsts = list(map(codec, map(dict.fromkeys, leaves)))
+    spectrum = ChromaticSpectrum.from_class_counts(map(len, firsts))
+    patterns = set(firsts)
+    tables = dict(zip(patterns, map(make_table, patterns)))
+    rows = sorted(map(translate, leaves, map(tables.__getitem__, firsts)))
+    del leaves, firsts, tables
+    if limit is not None:
+        del rows[limit:]
+    if codec is bytes:
+        rows = list(map(tuple, rows))
+    return _canonical_partitions(rows), spectrum
 
 
 def enumerate_strict_colorings(h: MixedHypergraph,
@@ -254,7 +303,8 @@ def enumerate_strict_colorings(h: MixedHypergraph,
         Normalized mixed hypergraph.
     limit:
         Caps how many colorings are collected in the report; counting for
-        the spectrum always covers everything.
+        the spectrum always covers everything.  ``0`` counts only, and
+        builds no coloring at all; a negative value is refused.
     order:
         Optional vertex order override; any permutation yields the same
         coloring set.
@@ -263,15 +313,19 @@ def enumerate_strict_colorings(h: MixedHypergraph,
         depth and the pieces explored independently; reports are identical
         for any worker count.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     if h.vertex_count == 0:
         return EnumerationReport((), ChromaticSpectrum(()), (), 0)
     resolved = _resolve_order(h, order)
 
     if threads <= 1 or h.vertex_count < 2:
         searcher = _Searcher(h, resolved)
-        found = list(searcher.canonical())
+        collected, spectrum = _collect(searcher.walk(), h.vertex_count, limit)
         nodes = searcher.nodes
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         split_depth = min(_SPLIT_DEPTH, h.vertex_count - 1)
         splitter = _Searcher(h, resolved)
         prefix_list = [tuple(labels[v] for v in resolved[:split_depth])
@@ -284,20 +338,16 @@ def enumerate_strict_colorings(h: MixedHypergraph,
                 for labels_list, task_nodes in pool.map(_expand_prefix, payloads):
                     found.extend(labels_list)
                     nodes += task_nodes
-
-    found.sort()
-    # the canonical labels of a k-coloring are 0..k-1
-    spectrum = ChromaticSpectrum.from_class_counts(map((1).__add__, map(max, found)))
-    collected = tuple(map(_canonical_partition, found if limit is None else found[:limit]))
+        collected, spectrum = _collect(found, h.vertex_count, limit)
     return EnumerationReport(collected, spectrum, spectrum.feasible, nodes)
 
 
 def chromatic_spectrum(h: MixedHypergraph, threads: int = 1) -> ChromaticSpectrum:
-    return enumerate_strict_colorings(h, threads=threads).spectrum
+    return enumerate_strict_colorings(h, limit=0, threads=threads).spectrum
 
 
 def feasible_set(h: MixedHypergraph, threads: int = 1) -> tuple[int, ...]:
-    return enumerate_strict_colorings(h, threads=threads).feasible
+    return enumerate_strict_colorings(h, limit=0, threads=threads).feasible
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ between concurrent workers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Iterable, Mapping, Sequence
 
 
 class ImproperColoringError(ValueError):
@@ -228,6 +230,22 @@ def _canonical_partition(labels: tuple[int, ...]) -> Partition:
     p = object.__new__(Partition)
     object.__setattr__(p, "labels", labels)
     return p
+
+
+def _canonical_partitions(rows: Sequence[tuple[int, ...]]) -> tuple[Partition, ...]:
+    """Wrap every row as :func:`_canonical_partition` would, in bulk.
+
+    Trusted path, under the same unchecked guarantee for each row: a
+    nonempty tuple already in canonical restricted-growth form.  The
+    instances are made and filled by C-level ``map`` calls, with no Python
+    frame per row.  This lives here to bind ``model.Partition``, which is
+    always the class: other modules' ``Partition`` names may be rebound to
+    a plain function (a profiler wrapping the constructor, say), and
+    ``object.__new__`` needs the type itself.
+    """
+    parts = tuple(map(object.__new__, repeat(Partition, len(rows))))
+    deque(map(object.__setattr__, parts, repeat("labels"), rows), maxlen=0)
+    return parts
 
 
 def is_proper(h: MixedHypergraph, partition: Partition) -> bool:

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import os
 import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.colorings import (ChromaticSpectrum, _expand_prefix, chromatic_spectrum,
-                               enumerate_strict_colorings, feasible_set,
+from bihyper.colorings import (ChromaticSpectrum, _expand_prefix, _Searcher,
+                               chromatic_spectrum, enumerate_strict_colorings, feasible_set,
                                is_one_realization, iter_strict_colorings)
 from bihyper.construction import canonical_colorings, construct
 from bihyper.model import Partition, build_bi_hypergraph, build_hypergraph, is_proper
@@ -220,6 +226,35 @@ class TestCanonicalOutput:
                 assert is_restricted_growth(p.labels)
                 assert p == Partition(p.labels)
 
+    @pytest.mark.parametrize("threads,instances", [(1, 40), (2, 3)])
+    def test_bulk_report_matches_the_lazy_canonical_walk(self, rng, threads, instances):
+        for _ in range(instances):
+            h = random_mixed_hypergraph(rng, v_min=1, v_max=8)
+            order = list(range(h.vertex_count))
+            rng.shuffle(order)
+            searcher = _Searcher(h, order)
+            lazy = sorted(searcher.canonical())
+            spectrum = ChromaticSpectrum.from_class_counts(max(labels) + 1 for labels in lazy)
+            for limit in (None, 0, 1, 3):
+                rep = enumerate_strict_colorings(h, limit=limit, order=order, threads=threads)
+                assert [p.labels for p in rep.colorings] == lazy[:limit]
+                assert rep.spectrum == spectrum and rep.feasible == spectrum.feasible
+                assert rep.nodes_explored == searcher.nodes
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_label_byte_boundary(self, n):
+        # up to 256 vertices the labels are carried as bytes, above that as tuples
+        pairs = list(combinations(range(n), 2))
+        complete = enumerate_strict_colorings(build_hypergraph(n, [], pairs))
+        assert [p.labels for p in complete.colorings] == [tuple(range(n))]
+        assert complete.spectrum.counts == (0,) * (n - 1) + (1,)
+        # without the D-pair (0, 1), vertices 0 and 1 may also share a class
+        rep = enumerate_strict_colorings(build_hypergraph(n, [], pairs[1:]))
+        assert [p.labels for p in rep.colorings] == [(0, 0) + tuple(range(1, n - 1)),
+                                                     tuple(range(n))]
+        assert rep.spectrum.counts == (0,) * (n - 2) + (1, 1)
+        assert all(p == Partition(p.labels) for p in rep.colorings)
+
     def test_more_than_255_classes(self):
         # complete D-graph: only the all-distinct coloring; labels must not be capped at a byte
         n = 300
@@ -249,6 +284,12 @@ class TestOrderAndDeterminism:
         with pytest.raises(ValueError, match="permutation"):
             enumerate_strict_colorings(build_hypergraph(3), order=[0, 0, 1])
 
+    @pytest.mark.parametrize("limit", [-1, -15])
+    def test_negative_limit_rejected(self, limit):
+        # a slice would silently drop colorings from the end
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_strict_colorings(build_hypergraph(4), limit=limit)
+
     def test_limit_caps_collection_not_counting(self):
         rep = enumerate_strict_colorings(build_hypergraph(4), limit=3)
         assert len(rep.colorings) == 3
@@ -276,6 +317,37 @@ class TestParallel:
             sequential = enumerate_strict_colorings(h)
             parallel = enumerate_strict_colorings(h, threads=3)
             assert sequential == parallel
+
+    def test_import_does_not_load_the_pool(self):
+        # the pool is imported only by a call that uses it; it costs every CLI launch
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, bihyper\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+
+def _spectrum_pool():
+    """The benchmark's fixed pool of spectrum instances, from perfbench/population.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "population.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_population", path)
+    population = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(population)
+    return population.spectrum_pool()
+
+
+def test_reports_are_pinned_on_a_spectrum_pool_subset():
+    # digest of the reports' reprs as the per-leaf canonicalizer produced them
+    digest = hashlib.sha256()
+    for v, c_edges, d_edges in _spectrum_pool()[::20]:
+        rep = enumerate_strict_colorings(build_hypergraph(v, c_edges, d_edges))
+        digest.update(repr(rep).encode())
+    assert digest.hexdigest() == \
+        "ed30edce96dcccc7cd3330df9cfbb734b9febfc2b558ec34c4a8a420e91869c2"
 
 
 class TestOneRealization:

@@ -35,3 +35,12 @@ def test_traced_boundaries_exist():
 def test_enumerator_still_takes_threads():
     # without it the traced result lacks colorings.parallel_speedup
     assert "threads" in inspect.signature(bihyper.enumerate_strict_colorings).parameters
+
+
+def test_enumerator_survives_a_wrapped_partition(monkeypatch):
+    # a traced pass rebinds colorings.Partition to a plain function
+    original = bihyper.colorings.Partition
+    monkeypatch.setattr(bihyper.colorings, "Partition", lambda *a, **k: original(*a, **k))
+    report = bihyper.enumerate_strict_colorings(bihyper.build_hypergraph(4), limit=3)
+    assert [p.labels for p in report.colorings] == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]
+    assert all(type(p) is original for p in report.colorings)
