@@ -101,7 +101,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     value = _load(args.file)
-    report = enumerate_strict_colorings(_plain(value), limit=0, threads=args.threads)
+    try:
+        report = enumerate_strict_colorings(_plain(value), limit=0, threads=args.threads)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     spectrum = report.spectrum
     if args.json:
         print(json.dumps({

@@ -19,33 +19,35 @@ visited depth, pruned or not.
 Correctness is independent of the vertex order; the default order
 (descending edge degree, ties by index) just makes the pruning bite early.
 The search's labels are restricted-growth in search order, not in index
-order, so a k-coloring's labels are ``0..k-1`` and their maximum plus one
-is its class count.  A report is built from all the leaves at once, with
-C-level ``map`` calls and no Python loop per coloring.  Each leaf is copied
-to ``bytes`` (labels are below n, so a byte holds them when n <= 256;
-larger n keeps tuples and takes the same steps); its classes, listed by
-their first vertex in index order, form its pattern, whose length is its
-class count.  One translation table per distinct pattern ranks those
-classes ``0, 1, ...``, which relabels the leaf to the canonical
-restricted-growth form in index order, and few patterns occur, so nothing
-downstream re-canonicalizes.  Colorings are reported sorted by their
-encodings (for equal-length ``bytes`` memcmp order is tuple order), so
-reports are deterministic, including when the search tree is split across
-worker processes; only the kept rows become tuples and Partitions.  A
-spectrum-only call (``limit=0``) tallies each leaf's maximum label and
-builds nothing.
+order, so a k-coloring's labels are ``0..k-1``.  A report is built one
+last-level parent at a time: a parent assigns every vertex but the last one
+in the order, ``u``, whose allowed classes are its leaves.  The parent is
+copied to ``bytes`` with the hole byte 255 at ``u`` (labels are below n, so
+a byte holds them when n <= 256; larger n takes the lazy per-leaf path).
+Its classes by first vertex in index order, the hole among them, form its
+pattern, one longer than its class count.  For each (pattern, allowed
+classes) pair, and few occur, one 256-byte table per allowed class ``x``
+ranks the leaf's classes ``0, 1, ...`` and sends the hole to the rank of
+``x``, so one C-level ``translate`` gives each leaf's canonical
+restricted-growth form in index order.  The spectrum is tallied per parent.
+Colorings are reported sorted by their encodings (for equal-length
+``bytes`` memcmp order is tuple order), so reports are deterministic,
+including when the search tree is split across worker processes; only the
+kept rows become tuples and Partitions.  A spectrum-only call
+(``limit=0``) tallies the parents and builds no row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import MixedHypergraph, Partition, _canonical_partition, _canonical_partitions
 
 _SPLIT_DEPTH = 4  # tree levels explored before handing branches to workers
-_BYTE_LABELS = bytes(range(256))
+_HOLE = 255  # the last vertex's byte in a parent's labels
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,37 @@ class _Searcher:
             used_at[depth] = used
         self.nodes += nodes
 
+    def leaves(self, prefix: Sequence[int] = (),
+               collect: bool = True) -> tuple[list[int], list[bytes]]:
+        """``counts[k]``, the k-colorings that extend ``prefix``, and their rows.
+
+        The rows are canonical labels as ``bytes``, built only if
+        ``collect`` (which needs n <= 256), one ``translate`` per leaf.
+        """
+        n = self.n
+        counts = [0] * (n + 1)
+        rows: list[bytes] = []
+        cache: dict[tuple[bytes, int], list[bytes]] = {}
+        self.labels[self.order[-1]] = _HOLE if collect else -1
+        for labels in self.walk(prefix, n - 1) if n > 1 else (self.labels,):
+            if collect:
+                holed = bytes(labels)
+                pattern = bytes(dict.fromkeys(holed))
+                used = len(pattern) - 1
+            else:
+                used = max(labels) + 1
+            mask = self._allowed(n - 1, used)
+            self.nodes += used + 1
+            fresh = mask >> used  # 1 if the last vertex may open class ``used``
+            counts[used] += mask.bit_count() - fresh
+            counts[used + 1] += fresh
+            if collect:
+                tables = cache.get((pattern, mask))
+                if tables is None:
+                    tables = cache[pattern, mask] = _leaf_tables(pattern, mask)
+                rows.extend(map(holed.translate, tables))
+        return counts, rows
+
     def canonical(self) -> Iterator[tuple[int, ...]]:
         """Yield the labels of every coloring, one at a time, in canonical form.
 
@@ -241,15 +274,11 @@ def iter_strict_colorings(h: MixedHypergraph,
     return _Searcher(h, _resolve_order(h, order)).colorings()
 
 
-def _expand_prefix(payload: tuple) -> tuple[list[tuple[int, ...]], int]:
-    """A worker's share: the raw walk labels under one prefix, and the nodes it explored."""
-    vertex_count, c_edges, d_edges, order, prefix = payload
+def _expand_prefix(payload: tuple) -> tuple[list[int], list[bytes], int]:
+    """A worker's share: ``leaves`` under one prefix, and the nodes it explored."""
+    vertex_count, c_edges, d_edges, order, prefix, collect = payload
     searcher = _Searcher(MixedHypergraph(vertex_count, c_edges, d_edges), order)
-    return list(map(tuple, searcher.walk(prefix))), searcher.nodes
-
-
-def _byte_table(first: bytes) -> bytes:
-    return bytes.maketrans(first, _BYTE_LABELS[:len(first)])
+    return (*searcher.leaves(prefix, collect), searcher.nodes)
 
 
 def _rank_table(first: Sequence[int]) -> list[int]:
@@ -260,35 +289,17 @@ def _rank_table(first: Sequence[int]) -> list[int]:
     return table
 
 
-def _translate_tuple(leaf: tuple[int, ...], table: list[int]) -> tuple[int, ...]:
-    return tuple(map(table.__getitem__, leaf))
-
-
-def _collect(walked: Iterable[Sequence[int]], vertex_count: int,
-             limit: int | None) -> tuple[tuple[Partition, ...], ChromaticSpectrum]:
-    """The sorted canonical colorings, cut to ``limit``, and the spectrum of every leaf.
-
-    ``walked`` yields raw walk labels (restricted-growth in search order);
-    each is copied as it arrives, so a live list may be passed.
-    """
-    if limit == 0:
-        return (), ChromaticSpectrum.from_class_counts(map((1).__add__, map(max, walked)))
-    if vertex_count <= 256:
-        codec, make_table, translate = bytes, _byte_table, bytes.translate
-    else:
-        codec, make_table, translate = tuple, _rank_table, _translate_tuple
-    leaves = list(map(codec, walked))
-    firsts = list(map(codec, map(dict.fromkeys, leaves)))
-    spectrum = ChromaticSpectrum.from_class_counts(map(len, firsts))
-    patterns = set(firsts)
-    tables = dict(zip(patterns, map(make_table, patterns)))
-    rows = sorted(map(translate, leaves, map(tables.__getitem__, firsts)))
-    del leaves, firsts, tables
-    if limit is not None:
-        del rows[limit:]
-    if codec is bytes:
-        rows = list(map(tuple, rows))
-    return _canonical_partitions(rows), spectrum
+def _leaf_tables(pattern: bytes, mask: int) -> list[bytes]:
+    """Per class ``x`` in ``mask``, ascending: the table that ranks the classes
+    of ``pattern`` with the hole set to ``x``, and sends the hole to ``x``'s rank."""
+    tables = []
+    for x in range(mask.bit_length()):
+        if mask >> x & 1:
+            first = bytes(dict.fromkeys(pattern.replace(bytes((_HOLE,)), bytes((x,)))))
+            table = bytearray(_rank_table(first)).ljust(256, b"\0")
+            table[_HOLE] = table[x]
+            tables.append(bytes(table))
+    return tables
 
 
 def enumerate_strict_colorings(h: MixedHypergraph,
@@ -315,31 +326,41 @@ def enumerate_strict_colorings(h: MixedHypergraph,
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    if h.vertex_count == 0:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    n = h.vertex_count
+    if n == 0:
         return EnumerationReport((), ChromaticSpectrum(()), (), 0)
     resolved = _resolve_order(h, order)
-
-    if threads <= 1 or h.vertex_count < 2:
-        searcher = _Searcher(h, resolved)
-        collected, spectrum = _collect(searcher.walk(), h.vertex_count, limit)
-        nodes = searcher.nodes
+    collect = limit != 0 and n <= 256
+    searcher = _Searcher(h, resolved)
+    if threads == 1 or n < 3:
+        counts, rows = searcher.leaves(collect=collect)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        split_depth = min(_SPLIT_DEPTH, h.vertex_count - 1)
-        splitter = _Searcher(h, resolved)
-        prefix_list = [tuple(labels[v] for v in resolved[:split_depth])
-                       for labels in splitter.walk(stop=split_depth)]
-        payloads = [(h.vertex_count, h.c_edges, h.d_edges, resolved, p) for p in prefix_list]
-        nodes = splitter.nodes
-        found = []
+        # workers walk to depth n - 1, so a prefix must stop short of it
+        split = min(_SPLIT_DEPTH, n - 2)
+        payloads = [(n, h.c_edges, h.d_edges, resolved,
+                     tuple(labels[v] for v in resolved[:split]), collect)
+                    for labels in searcher.walk(stop=split)]
+        counts, rows = [0] * (n + 1), []
         if payloads:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for labels_list, task_nodes in pool.map(_expand_prefix, payloads):
-                    found.extend(labels_list)
-                    nodes += task_nodes
-        collected, spectrum = _collect(found, h.vertex_count, limit)
-    return EnumerationReport(collected, spectrum, spectrum.feasible, nodes)
+            with ProcessPoolExecutor(max_workers=min(threads, len(payloads))) as pool:
+                for part_counts, part_rows, part_nodes in pool.map(_expand_prefix, payloads):
+                    counts = list(map(add, counts, part_counts))
+                    rows.extend(part_rows)
+                    searcher.nodes += part_nodes
+    if limit != 0 and n > 256:  # labels above 255 do not fit a byte
+        rows = list(_Searcher(h, resolved).canonical())
+    rows.sort()
+    if limit is not None:
+        del rows[limit:]
+    if collect:
+        rows = list(map(tuple, rows))
+    spectrum = ChromaticSpectrum(tuple(counts[1:]))
+    return EnumerationReport(_canonical_partitions(rows), spectrum, spectrum.feasible,
+                             searcher.nodes)
 
 
 def chromatic_spectrum(h: MixedHypergraph, threads: int = 1) -> ChromaticSpectrum:

@@ -72,6 +72,14 @@ class TestSpectrum:
     def test_missing_file(self, capsys):
         assert main(["spectrum", "/no/such/file.json"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        path = write_construction(tmp_path, [3, 2])
+        assert main(["spectrum", path, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: threads must be at least 1")
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_verified_prints_witnesses_with_labels(self, tmp_path, capsys):

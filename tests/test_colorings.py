@@ -180,16 +180,20 @@ class TestKernel:
         ([(0, 1, 2)], [(0, 1, 2)], (0, 0, 0)),  # monochromatic bi-edge
     ])
     def test_pruned_prefix_is_an_error(self, c_edges, d_edges, prefix):
-        payload = (4, tuple(c_edges), tuple(d_edges), (0, 1, 2, 3), prefix)
+        payload = (5, tuple(c_edges), tuple(d_edges), (0, 1, 2, 3, 4), prefix, True)
         with pytest.raises(AssertionError, match="pruned prefix"):
             _expand_prefix(payload)
 
     def test_surviving_prefix_expands_to_its_colorings(self):
         h = build_bi_hypergraph(4, [[0, 1, 2]])
-        found, nodes = _expand_prefix((4, h.c_edges, h.d_edges, (0, 1, 2, 3), (0, 1)))
-        assert sorted(found) == [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2),
-                                 (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)]
+        payload = (4, h.c_edges, h.d_edges, (0, 1, 2, 3), (0, 1))
+        counts, rows, nodes = _expand_prefix(payload + (True,))
+        assert sorted(rows) == [bytes(r) for r in [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2),
+                                                   (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)]]
+        assert counts == [0, 0, 4, 2, 0]
         assert nodes == 3 + 2 * 3
+        # count mode tallies the same colorings and nodes without building rows
+        assert _expand_prefix(payload + (False,)) == (counts, [], nodes)
 
 
 def is_restricted_growth(labels) -> bool:
@@ -232,14 +236,36 @@ class TestCanonicalOutput:
             h = random_mixed_hypergraph(rng, v_min=1, v_max=8)
             order = list(range(h.vertex_count))
             rng.shuffle(order)
-            searcher = _Searcher(h, order)
-            lazy = sorted(searcher.canonical())
-            spectrum = ChromaticSpectrum.from_class_counts(max(labels) + 1 for labels in lazy)
-            for limit in (None, 0, 1, 3):
-                rep = enumerate_strict_colorings(h, limit=limit, order=order, threads=threads)
-                assert [p.labels for p in rep.colorings] == lazy[:limit]
-                assert rep.spectrum == spectrum and rep.feasible == spectrum.feasible
-                assert rep.nodes_explored == searcher.nodes
+            # the last vertex in the order is the hole of every parent: put the
+            # first and the last index there too
+            orders = [order] + [[v for v in order if v != last] + [last]
+                                for last in (0, h.vertex_count - 1)]
+            for order in orders:
+                searcher = _Searcher(h, order)
+                lazy = sorted(searcher.canonical())
+                spectrum = ChromaticSpectrum.from_class_counts(max(labels) + 1 for labels in lazy)
+                for limit in (None, 0, 1, 3):
+                    rep = enumerate_strict_colorings(h, limit=limit, order=order, threads=threads)
+                    assert [p.labels for p in rep.colorings] == lazy[:limit]
+                    assert rep.spectrum == spectrum and rep.feasible == spectrum.feasible
+                    assert rep.nodes_explored == searcher.nodes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_few_vertices_match_the_serial_report(self, rng, n, threads):
+        # the pool splits at depth n - 2 at most, and is skipped below 3 vertices
+        instances = [build_hypergraph(n)] + [random_mixed_hypergraph(rng, v_min=n, v_max=n)
+                                             for _ in range(3)]
+        for h in instances:
+            oracle = brute_force_colorings(h)
+            for limit in (None, 0):
+                rep = enumerate_strict_colorings(h, limit=limit, threads=threads)
+                if threads == 1:
+                    assert list(rep.colorings) == oracle[:limit]
+                    assert rep.spectrum == ChromaticSpectrum.from_class_counts(
+                        p.class_count for p in oracle)
+                else:
+                    assert rep == enumerate_strict_colorings(h, limit=limit)
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_label_byte_boundary(self, n):
@@ -290,6 +316,11 @@ class TestOrderAndDeterminism:
         with pytest.raises(ValueError, match="limit"):
             enumerate_strict_colorings(build_hypergraph(4), limit=limit)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            enumerate_strict_colorings(build_hypergraph(4), threads=threads)
+
     def test_limit_caps_collection_not_counting(self):
         rep = enumerate_strict_colorings(build_hypergraph(4), limit=3)
         assert len(rep.colorings) == 3
@@ -318,6 +349,29 @@ class TestParallel:
             parallel = enumerate_strict_colorings(h, threads=3)
             assert sequential == parallel
 
+    def test_pool_has_no_more_workers_than_prefixes(self, monkeypatch):
+        # three vertices split after the first one: a single prefix, so a single worker
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        h = build_hypergraph(3)
+        assert enumerate_strict_colorings(h, threads=3) == enumerate_strict_colorings(h)
+        assert sizes == [1]
+
     def test_import_does_not_load_the_pool(self):
         # the pool is imported only by a call that uses it; it costs every CLI launch
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -341,13 +395,17 @@ def _spectrum_pool():
 
 
 def test_reports_are_pinned_on_a_spectrum_pool_subset():
-    # digest of the reports' reprs as the per-leaf canonicalizer produced them
-    digest = hashlib.sha256()
+    # digests of the reports' reprs as the per-leaf canonicalizer produced
+    # them, in full and in count mode
+    digest, counted = hashlib.sha256(), hashlib.sha256()
     for v, c_edges, d_edges in _spectrum_pool()[::20]:
-        rep = enumerate_strict_colorings(build_hypergraph(v, c_edges, d_edges))
-        digest.update(repr(rep).encode())
+        h = build_hypergraph(v, c_edges, d_edges)
+        digest.update(repr(enumerate_strict_colorings(h)).encode())
+        counted.update(repr(enumerate_strict_colorings(h, limit=0)).encode())
     assert digest.hexdigest() == \
         "ed30edce96dcccc7cd3330df9cfbb734b9febfc2b558ec34c4a8a420e91869c2"
+    assert counted.hexdigest() == \
+        "c89c619f85a40956a053e43d07bd5311d85065f0caf2ee980f9044f7bd89c0b5"
 
 
 class TestOneRealization:
