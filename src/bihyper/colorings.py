@@ -40,18 +40,17 @@ kept rows become tuples and Partitions.  A spectrum-only call
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import MixedHypergraph, Partition, _canonical_partition, _canonical_partitions
+from .model import (MixedHypergraph, Partition, _canonical_partition, _canonical_partitions,
+                    _Record)
 
 _SPLIT_DEPTH = 4  # tree levels explored before handing branches to workers
 _HOLE = 255  # the last vertex's byte in a parent's labels
 
 
-@dataclass(frozen=True)
-class ChromaticSpectrum:
+class ChromaticSpectrum(_Record):
     """Counts of strict colorings per class count.
 
     ``counts[k-1]`` is the number of strict k-colorings, as unordered
@@ -62,8 +61,8 @@ class ChromaticSpectrum:
 
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        counts = tuple(self.counts)
+    def __init__(self, counts: Iterable[int]) -> None:
+        counts = tuple(counts)
         if any(c < 0 for c in counts):
             raise ValueError("spectrum counts must be nonnegative")
         while counts and counts[-1] == 0:
@@ -91,8 +90,7 @@ class ChromaticSpectrum:
         return self.counts[k - 1] if 1 <= k <= len(self.counts) else 0
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(_Record):
     """Every strict coloring of a hypergraph, plus derived aggregates.
 
     ``colorings`` holds canonical partitions in lexicographic encoding
@@ -104,6 +102,12 @@ class EnumerationReport:
     spectrum: ChromaticSpectrum
     feasible: tuple[int, ...]
     nodes_explored: int
+
+    def __init__(self, colorings, spectrum, feasible, nodes_explored) -> None:
+        object.__setattr__(self, "colorings", colorings)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
 
 
 class _Searcher:
@@ -371,8 +375,7 @@ def feasible_set(h: MixedHypergraph, threads: int = 1) -> tuple[int, ...]:
     return enumerate_strict_colorings(h, limit=0, threads=threads).feasible
 
 
-@dataclass(frozen=True)
-class OneRealizationCertificate:
+class OneRealizationCertificate(_Record):
     """Outcome of a one-realization check, with the evidence that decides it.
 
     On success ``witnesses`` holds exactly one strict coloring per target
@@ -384,9 +387,16 @@ class OneRealizationCertificate:
 
     ok: bool
     target: tuple[int, ...]
-    witnesses: tuple[Partition, ...] = ()
-    failure: str | None = None
-    counterexamples: tuple[Partition, ...] = ()
+    witnesses: tuple[Partition, ...]
+    failure: str | None
+    counterexamples: tuple[Partition, ...]
+
+    def __init__(self, ok, target, witnesses=(), failure=None, counterexamples=()) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "counterexamples", counterexamples)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -18,33 +18,33 @@ one-realization of the target set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
-from .model import (MixedHypergraph, Partition, VertexBijection,
+from .model import (MixedHypergraph, Partition, VertexBijection, _Record,
                     build_bi_hypergraph, induced_subhypergraph, is_proper)
 
 VARIANTS = ("I", "II")
 
 
-@dataclass(frozen=True)
-class FeasibleSpec:
+class FeasibleSpec(_Record):
     """Target feasible set as a strictly decreasing tuple ``n1 > ... > ns >= 2``."""
 
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Iterable[int]) -> None:
+        values = tuple(values)
+        if not set(map(type, values)) <= {int}:
+            raise ValueError(f"class counts must be integers, got {values}")
         if len(values) < 2:
             raise ValueError("a feasible-set target needs at least two class counts")
-        if any(a <= b for a, b in zip(values, values[1:])):
+        if list(values) != sorted(set(values), reverse=True):
             raise ValueError(f"class counts must be strictly decreasing, got {values}")
         if values[-1] < 2:
             raise ValueError(
                 "class counts below 2 are not realizable: every bi-edge forces at "
                 "least two classes, so no bi-hypergraph with edges has a strict 1-coloring")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def of(cls, value: "FeasibleSpec | Iterable[int]") -> "FeasibleSpec":
@@ -84,21 +84,22 @@ class FeasibleSpec:
         return ",".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class LabeledVertex:
+class LabeledVertex(_Record):
     """Coordinate tuple plus bit flag naming one vertex of the construction."""
 
     coords: tuple[int, ...]
     flag: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if type(self.flag) is not int or self.flag not in (0, 1):
-            raise ValueError(f"flag must be 0 or 1, got {self.flag}")
-        if any(type(x) is not int for x in self.coords):
-            raise ValueError(f"coordinates must be integers, got {self.coords}")
-        if any(x < 1 for x in self.coords):
-            raise ValueError(f"coordinates must be >= 1, got {self.coords}")
+    def __init__(self, coords: Iterable[int], flag: int) -> None:
+        coords = tuple(coords)
+        if type(flag) is not int or flag not in (0, 1):
+            raise ValueError(f"flag must be 0 or 1, got {flag}")
+        if any(type(x) is not int for x in coords):
+            raise ValueError(f"coordinates must be integers, got {coords}")
+        if any(x < 1 for x in coords):
+            raise ValueError(f"coordinates must be >= 1, got {coords}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "flag", flag)
 
     @property
     def full(self) -> tuple[int, ...]:
@@ -112,8 +113,7 @@ class LabeledVertex:
         return "(" + ",".join(str(x) for x in self.full) + ")"
 
 
-@dataclass(frozen=True)
-class LabeledHypergraph:
+class LabeledHypergraph(_Record):
     """A constructed bi-hypergraph together with its vertex labels.
 
     ``labels[i]`` names vertex ``i``; labels are sorted by their full
@@ -126,7 +126,14 @@ class LabeledHypergraph:
     labels: tuple[LabeledVertex, ...]
     spec: FeasibleSpec
     variant: str
-    unproven_regime: bool = False
+    unproven_regime: bool
+
+    def __init__(self, hypergraph, labels, spec, variant, unproven_regime=False) -> None:
+        object.__setattr__(self, "hypergraph", hypergraph)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "unproven_regime", unproven_regime)
 
     @property
     def vertex_count(self) -> int:
@@ -306,8 +313,7 @@ def canonical_colorings(built: LabeledHypergraph) -> tuple[Partition, ...]:
     return tuple(canonical_coloring(built, i) for i in range(1, built.spec.s + 1))
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(_Record):
     """The coordinate-dropping isomorphism witness for a spec with s >= 3.
 
     ``subset`` lists the parent vertices whose first two coordinates agree;
@@ -321,6 +327,13 @@ class ReductionMap:
     restricted: MixedHypergraph
     target: LabeledHypergraph
     bijection: VertexBijection
+
+    def __init__(self, parent, subset, restricted, target, bijection) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "restricted", restricted)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "bijection", bijection)
 
 
 def reduction_bijection(spec: FeasibleSpec | Iterable[int]) -> ReductionMap:

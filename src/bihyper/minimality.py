@@ -25,15 +25,14 @@ quota, so ``masks_processed`` counts that whole chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
 
 from .colorings import OneRealizationCertificate, is_one_realization, iter_strict_colorings
 from .construction import FeasibleSpec, min_size
-from .model import MixedHypergraph
+from .model import MixedHypergraph, _Record
 
 DEFAULT_BUDGET = 10_000_000
 DEFAULT_VERTEX_CAP = 6
@@ -71,9 +70,8 @@ def enumerate_bi_hypergraphs(v: int,
         yield _mask_to_hypergraph(v, mask)
 
 
-@dataclass
-class SearchReport:
-    """Outcome of a lower-bound certification or witness hunt."""
+class SearchReport(_Record):
+    """Outcome of a lower-bound certification or witness hunt; mutable, so unhashable."""
 
     spec: FeasibleSpec
     vertex_counts_searched: tuple[int, ...]
@@ -81,7 +79,21 @@ class SearchReport:
     witnesses: list[tuple[MixedHypergraph, OneRealizationCertificate]]
     verdict: str
     masks_processed: int
-    cursor: tuple[int, int] | None = None
+    cursor: tuple[int, int] | None
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, spec, vertex_counts_searched, instances_examined, witnesses, verdict,
+                 masks_processed, cursor=None) -> None:
+        self.spec = spec
+        self.vertex_counts_searched = vertex_counts_searched
+        self.instances_examined = instances_examined
+        self.witnesses = witnesses
+        self.verdict = verdict
+        self.masks_processed = masks_processed
+        self.cursor = cursor
 
 
 @cache

@@ -9,19 +9,55 @@ bi-hypergraph.  Colorings are unordered set partitions, stored in a
 canonical restricted-growth encoding so equal partitions compare equal.
 
 Everything here is an immutable value; instances may be shared freely
-between concurrent workers.
+between concurrent workers.  The package's record types derive from
+``_Record``.  Each annotates its fields in order and writes an ``__init__``
+that stores each field once with ``object.__setattr__``; the base compares
+and hashes instances of one class by their field tuple, prints them as
+``Name(field=value, ...)`` and refuses assignment.  It generates no code
+per class, so the import that every CLI launch pays stays cheap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
 
 
 class ImproperColoringError(ValueError):
     """An operation requiring a proper coloring received an improper one."""
+
+
+class _Record:
+    """Value semantics over the fields a subclass annotates, in order."""
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if fields:  # a subclass that annotates nothing keeps its parent's fields
+            get = attrgetter(*fields)
+            cls.__match_args__ = fields
+            # the field tuple; attrgetter returns a lone field bare
+            cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
@@ -45,8 +81,7 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
     return tuple(sorted(edges))
 
 
-@dataclass(frozen=True)
-class MixedHypergraph:
+class MixedHypergraph(_Record):
     """A vertex count plus C-edge and D-edge families, in normalized form.
 
     Edges are strictly increasing index tuples and each family is sorted
@@ -55,16 +90,19 @@ class MixedHypergraph:
     """
 
     vertex_count: int
-    c_edges: tuple[tuple[int, ...], ...] = ()
-    d_edges: tuple[tuple[int, ...], ...] = ()
+    c_edges: tuple[tuple[int, ...], ...]
+    d_edges: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, c_edges=(), d_edges=()) -> None:
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        for kind, family in (("C", self.c_edges), ("D", self.d_edges)):
-            if family != _normalize_family(family, self.vertex_count, kind):
+        for kind, family in (("C", c_edges), ("D", d_edges)):
+            if family != _normalize_family(family, vertex_count, kind):
                 raise ValueError(
                     f"{kind}-edge family is not normalized; build with build_hypergraph()")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "c_edges", c_edges)
+        object.__setattr__(self, "d_edges", d_edges)
 
     def is_bi(self) -> bool:
         return self.c_edges == self.d_edges
@@ -142,8 +180,7 @@ def induced_subhypergraph(
     return _normalized_hypergraph(len(keep), c_edges, d_edges), old_to_new
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A set partition of ``0..n-1`` in canonical restricted-growth form.
 
     ``labels[v]`` is the class of vertex ``v``; scanning vertices in index
@@ -154,14 +191,15 @@ class Partition:
 
     labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    def __init__(self, labels: Iterable[int]) -> None:
+        labels = tuple(labels)
+        if not labels:
             raise ValueError("a partition needs at least one vertex")
         relabel: dict[object, int] = {}
-        for x in self.labels:
+        for x in labels:
             if x not in relabel:
                 relabel[x] = len(relabel)
-        object.__setattr__(self, "labels", tuple(relabel[x] for x in self.labels))
+        object.__setattr__(self, "labels", tuple(relabel[x] for x in labels))
 
     @classmethod
     def from_classes(cls, classes: Iterable[Iterable[int]]) -> "Partition":
@@ -273,15 +311,16 @@ def strict_class_count(h: MixedHypergraph, partition: Partition) -> int:
     return partition.class_count
 
 
-@dataclass(frozen=True)
-class VertexBijection:
+class VertexBijection(_Record):
     """A bijection between two vertex sets of equal size; ``forward[v]`` is the image of ``v``."""
 
     forward: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.forward) != list(range(len(self.forward))):
+    def __init__(self, forward: Iterable[int]) -> None:
+        forward = tuple(forward)
+        if sorted(forward) != list(range(len(forward))):
             raise ValueError("forward map is not a bijection onto 0..n-1")
+        object.__setattr__(self, "forward", forward)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> "VertexBijection":

@@ -12,18 +12,16 @@ encoder call, and parsing accepts a list of integer rows in one pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
 
 from .construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
-from .model import (MixedHypergraph, _normalize_family, _normalized_hypergraph,
+from .model import (MixedHypergraph, _normalize_family, _normalized_hypergraph, _Record,
                     build_hypergraph)
 
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class HypergraphDocument:
+class HypergraphDocument(_Record):
     """The on-disk shape of a hypergraph, decoupled from in-memory values."""
 
     format_version: int
@@ -31,9 +29,20 @@ class HypergraphDocument:
     vertex_count: int
     c_edges: tuple[tuple[int, ...], ...]
     d_edges: tuple[tuple[int, ...], ...]
-    s: int | None = None
-    labels: tuple[tuple[int, ...], ...] | None = None
-    metadata: tuple[tuple[str, str], ...] = ()
+    s: int | None
+    labels: tuple[tuple[int, ...], ...] | None
+    metadata: tuple[tuple[str, str], ...]
+
+    def __init__(self, format_version, bi, vertex_count, c_edges, d_edges, s=None, labels=None,
+                 metadata=()) -> None:
+        object.__setattr__(self, "format_version", format_version)
+        object.__setattr__(self, "bi", bi)
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "c_edges", c_edges)
+        object.__setattr__(self, "d_edges", d_edges)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "metadata", metadata)
 
     def to_text(self) -> str:
         def inline(rows) -> str:
@@ -119,7 +128,7 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, overlong integers, deep nesting
         raise ValueError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed document: top level must be an object")
@@ -145,6 +154,8 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         return h
 
     s = _take(doc, "s", (int,))
+    if s < 2:
+        raise ValueError(f"s: a labeled document needs at least 2 class counts, got {s}")
     if len(raw_labels) != vertex_count:
         raise ValueError(f"labels: {len(raw_labels)} labels for {vertex_count} vertices")
     labels = []

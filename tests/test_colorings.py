@@ -384,6 +384,25 @@ class TestParallel:
                              text=True, check=True).stdout
         assert out.strip() == "[]"
 
+    def test_import_loads_only_json_beyond_a_bare_interpreter(self):
+        # every module import pulls in is paid by each CLI launch and by setup_s
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def loaded(statement):
+            code = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+            return set(subprocess.run([sys.executable, "-c", code], env=env,
+                                      capture_output=True, text=True,
+                                      check=True).stdout.split())
+
+        added = loaded("import bihyper") - loaded("pass")
+        allowed = {"__future__", "json", "json.decoder", "json.encoder", "json.scanner",
+                   "_json"}
+        assert "bihyper.model" in added
+        assert sorted(m for m in added
+                      if m not in allowed and m.split(".")[0] != "bihyper") == []
+
 
 def _spectrum_pool():
     """The benchmark's fixed pool of spectrum instances, from perfbench/population.py."""

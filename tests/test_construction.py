@@ -9,6 +9,7 @@ from bihyper.colorings import (chromatic_spectrum, enumerate_strict_colorings,
 from bihyper.construction import (FeasibleSpec, LabeledVertex, canonical_coloring,
                                   canonical_colorings, construct, deleted_label,
                                   min_size, reduction_bijection, special_edge_labels)
+from bihyper.minimality import certify_lower_bound
 from bihyper.model import check_isomorphism_under_map, is_proper
 
 
@@ -46,6 +47,16 @@ class TestFeasibleSpec:
     def test_one_coloring_targets_rejected(self):
         with pytest.raises(ValueError, match="strict 1-coloring"):
             FeasibleSpec((3, 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: min_size([4.5, 2]),
+        lambda: certify_lower_bound([4.0, 2], 4),
+        lambda: construct([4.0, 2]),
+        lambda: FeasibleSpec([3, True]),
+    ], ids=["min_size-float", "certify-float", "construct-float", "spec-bool"])
+    def test_non_integer_counts_rejected(self, call):
+        with pytest.raises(ValueError, match="class counts must be integers"):
+            call()
 
     def test_tail(self):
         assert FeasibleSpec((5, 3, 2)).tail() == FeasibleSpec((3, 2))

@@ -136,6 +136,12 @@ class TestPartition:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Partition(())
+        with pytest.raises(ValueError):
+            Partition(iter(()))
+
+    def test_any_iterable_of_labels(self):
+        # a one-shot iterator is read once, not emptied by a first pass
+        assert Partition(iter([5, 5, 2])) == Partition((0, 0, 1)) == Partition([9, 9, 3])
 
     def test_canonical_uniqueness_small(self):
         # distinct set partitions of <= 6 points have distinct encodings,
@@ -268,6 +274,12 @@ class TestVertexBijection:
         assert VertexBijection.from_mapping({0: 1, 1: 0}).forward == (1, 0)
         with pytest.raises(ValueError):
             VertexBijection.from_mapping({1: 0, 2: 1})
+
+    def test_forward_is_stored_as_a_tuple(self):
+        listed = VertexBijection([1, 0])
+        assert listed.forward == (1, 0) and listed == VertexBijection((1, 0))
+        assert hash(listed) == hash(VertexBijection((1, 0)))
+        assert VertexBijection(iter([0, 2, 1])).forward == (0, 2, 1)
 
     def test_identity_map_is_isomorphism(self):
         h = build_hypergraph(4, [[0, 1, 2]], [[1, 2, 3]])

@@ -1,0 +1,169 @@
+"""Value semantics of the package's twelve record types.
+
+Each record is built by keyword with its documented field names and
+defaults, and must compare, hash, print, freeze and pickle as a value.
+``SearchReport`` is the one mutable record: assignable and unhashable.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+import bihyper
+from bihyper import (ChromaticSpectrum, EnumerationReport, FeasibleSpec, HypergraphDocument,
+                     LabeledHypergraph, LabeledVertex, MixedHypergraph,
+                     OneRealizationCertificate, Partition, ReductionMap, SearchReport,
+                     VertexBijection)
+
+
+def _edge():
+    return MixedHypergraph(vertex_count=3, c_edges=((0, 1, 2),), d_edges=((0, 1, 2),))
+
+
+def _labeled():
+    labels = (LabeledVertex(coords=[1], flag=0), LabeledVertex(coords=(1,), flag=1),
+              LabeledVertex(coords=(2,), flag=0))
+    return LabeledHypergraph(hypergraph=_edge(), labels=labels,
+                             spec=FeasibleSpec(values=[3, 2]), variant="I",
+                             unproven_regime=False)
+
+
+# name -> (factory building a fresh instance by keyword, pinned repr)
+RECORDS = {
+    "ChromaticSpectrum": (
+        lambda: ChromaticSpectrum(counts=[1, 3, 0, 0]),
+        "ChromaticSpectrum(counts=(1, 3))"),
+    "EnumerationReport": (
+        lambda: EnumerationReport(colorings=(Partition((0, 1)),),
+                                  spectrum=ChromaticSpectrum((0, 1)), feasible=(2,),
+                                  nodes_explored=3),
+        "EnumerationReport(colorings=(Partition(labels=(0, 1)),), "
+        "spectrum=ChromaticSpectrum(counts=(0, 1)), feasible=(2,), nodes_explored=3)"),
+    "OneRealizationCertificate": (
+        lambda: OneRealizationCertificate(ok=False, target=(2, 3)),
+        "OneRealizationCertificate(ok=False, target=(2, 3), witnesses=(), failure=None, "
+        "counterexamples=())"),
+    "FeasibleSpec": (
+        lambda: FeasibleSpec(values=[4, 2]),
+        "FeasibleSpec(values=(4, 2))"),
+    "LabeledVertex": (
+        lambda: LabeledVertex(coords=[2, 1], flag=1),
+        "LabeledVertex(coords=(2, 1), flag=1)"),
+    "LabeledHypergraph": (
+        _labeled,
+        "LabeledHypergraph(hypergraph=MixedHypergraph(vertex_count=3, c_edges=((0, 1, 2),), "
+        "d_edges=((0, 1, 2),)), labels=(LabeledVertex(coords=(1,), flag=0), "
+        "LabeledVertex(coords=(1,), flag=1), LabeledVertex(coords=(2,), flag=0)), "
+        "spec=FeasibleSpec(values=(3, 2)), variant='I', unproven_regime=False)"),
+    "ReductionMap": (
+        lambda: ReductionMap(parent=_labeled(), subset=(0, 2), restricted=MixedHypergraph(2),
+                             target=_labeled(), bijection=VertexBijection((1, 0))),
+        "ReductionMap(parent=LabeledHypergraph(hypergraph=MixedHypergraph(vertex_count=3, "
+        "c_edges=((0, 1, 2),), d_edges=((0, 1, 2),)), labels=(LabeledVertex(coords=(1,), "
+        "flag=0), LabeledVertex(coords=(1,), flag=1), LabeledVertex(coords=(2,), flag=0)), "
+        "spec=FeasibleSpec(values=(3, 2)), variant='I', unproven_regime=False), "
+        "subset=(0, 2), restricted=MixedHypergraph(vertex_count=2, c_edges=(), d_edges=()), "
+        "target=LabeledHypergraph(hypergraph=MixedHypergraph(vertex_count=3, "
+        "c_edges=((0, 1, 2),), d_edges=((0, 1, 2),)), labels=(LabeledVertex(coords=(1,), "
+        "flag=0), LabeledVertex(coords=(1,), flag=1), LabeledVertex(coords=(2,), flag=0)), "
+        "spec=FeasibleSpec(values=(3, 2)), variant='I', unproven_regime=False), "
+        "bijection=VertexBijection(forward=(1, 0)))"),
+    "SearchReport": (
+        lambda: SearchReport(spec=FeasibleSpec((3, 2)), vertex_counts_searched=(3, 4),
+                             instances_examined={3: 2, 4: 16}, witnesses=[],
+                             verdict="certified-none", masks_processed=18, cursor=None),
+        "SearchReport(spec=FeasibleSpec(values=(3, 2)), vertex_counts_searched=(3, 4), "
+        "instances_examined={3: 2, 4: 16}, witnesses=[], verdict='certified-none', "
+        "masks_processed=18, cursor=None)"),
+    "MixedHypergraph": (
+        lambda: MixedHypergraph(3),
+        "MixedHypergraph(vertex_count=3, c_edges=(), d_edges=())"),
+    "Partition": (
+        lambda: Partition(labels=[7, 7, 3]),
+        "Partition(labels=(0, 0, 1))"),
+    "VertexBijection": (
+        lambda: VertexBijection(forward=(2, 0, 1)),
+        "VertexBijection(forward=(2, 0, 1))"),
+    "HypergraphDocument": (
+        lambda: HypergraphDocument(format_version=1, bi=False, vertex_count=3,
+                                   c_edges=((0, 1, 2),), d_edges=()),
+        "HypergraphDocument(format_version=1, bi=False, vertex_count=3, "
+        "c_edges=((0, 1, 2),), d_edges=(), s=None, labels=None, metadata=())"),
+}
+FROZEN = sorted(set(RECORDS) - {"SearchReport"})
+
+
+def test_every_record_is_covered():
+    exported = {name for name in bihyper.__all__
+                if hasattr(getattr(bihyper, name), "__match_args__")}
+    assert exported == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_repr_is_pinned(name):
+    factory, text = RECORDS[name]
+    assert repr(factory()) == text
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equal_instances_compare_equal(name):
+    factory, _ = RECORDS[name]
+    a, b = factory(), factory()
+    assert a is not b and a == b and not a != b
+    assert a != repr(a) and a != object()
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_hash_and_refuse_assignment(name):
+    factory, _ = RECORDS[name]
+    a, b = factory(), factory()
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    field = type(a).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_search_report_is_mutable_and_unhashable():
+    report = RECORDS["SearchReport"][0]()
+    report.verdict = "aborted"
+    report.cursor = (4, 7)
+    assert (report.verdict, report.cursor) == ("aborted", (4, 7))
+    assert report != RECORDS["SearchReport"][0]()
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_pickle_round_trip(name):
+    value = RECORDS[name][0]()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy == value and repr(copy) == repr(value)
+
+
+def test_positional_construction_and_defaults():
+    h = MixedHypergraph(4, ((0, 1, 2),))
+    assert (h.c_edges, h.d_edges) == (((0, 1, 2),), ())
+    cert = OneRealizationCertificate(True, (2,), (Partition((0, 1)),))
+    assert (cert.failure, cert.counterexamples, bool(cert)) == (None, (), True)
+    doc = HypergraphDocument(1, True, 0, (), (), 2)
+    assert (doc.s, doc.labels, doc.metadata) == (2, None, ())
+    labeled = _labeled()
+    assert LabeledHypergraph(labeled.hypergraph, labeled.labels, labeled.spec, "I") == labeled
+    report = SearchReport(FeasibleSpec((3, 2)), (3,), {3: 2}, [], "certified-none", 2)
+    assert report.cursor is None
+
+
+def test_fields_match_by_position():
+    match FeasibleSpec((5, 3, 2)):
+        case FeasibleSpec(values):
+            assert values == (5, 3, 2)
+    match LabeledVertex((2, 1), 0):
+        case LabeledVertex(coords, flag):
+            assert (coords, flag) == ((2, 1), 0)

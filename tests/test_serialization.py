@@ -207,3 +207,72 @@ class TestNormalizationOnParse:
         doc["c_edges"], doc["d_edges"] = c_rows, d_rows
         with pytest.raises(ValueError, match=message):
             parse(json.dumps(doc))
+
+
+# JSON values near the document's own shapes, so mutations reach deep checks
+_ATOMS = (st.integers(-2, 9) | st.sampled_from([None, True, False, 2.5, 1e400, "", "I", "II",
+                                                "true", "4,2", "4.5,2", "3,x", "5,4,2"])
+          | st.text(max_size=4))
+_VALUES = st.recursive(_ATOMS, lambda inner: st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                       max_leaves=10)
+_DOCUMENTS = [serialize(build_bi_hypergraph(3, [[0, 1, 2]])), serialize(build_hypergraph(2)),
+              serialize(construct([3, 2])), serialize(construct([4, 3, 2]))]
+
+
+def _mutate(data, node) -> None:
+    """Replace, delete, insert or descend into one entry of a dict or list."""
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = data.draw(st.sampled_from(["replace", "delete", "insert", "descend"]))
+    if action == "insert" or not keys:
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(["s", "labels", "metadata", "x"]))] = data.draw(_VALUES)
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), data.draw(_VALUES))
+        return
+    key = data.draw(st.sampled_from(keys))
+    if action == "descend" and isinstance(node[key], (dict, list)):
+        _mutate(data, node[key])
+    elif action == "delete":
+        del node[key]
+    else:
+        node[key] = data.draw(_VALUES)
+
+
+class TestParseFuzz:
+    """Whatever text arrives, parse either returns a value or raises ValueError."""
+
+    @staticmethod
+    def _parse_or_refuse(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            return
+        assert parse(serialize(value)) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40) | _VALUES.map(json.dumps))
+    def test_arbitrary_text(self, text):
+        self._parse_or_refuse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_DOCUMENTS), st.integers(1, 4), st.data())
+    def test_mutated_documents(self, text, rounds, data):
+        doc = json.loads(text)
+        for _ in range(rounds):
+            _mutate(data, doc)
+        self._parse_or_refuse(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000, "9" * 5000],
+                             ids=["deep-array", "deep-object", "long-integer"])
+    def test_text_json_cannot_load(self, text):
+        with pytest.raises(ValueError, match="malformed document"):
+            parse(text)
+
+    @pytest.mark.parametrize("s", [-1, 0, 1])
+    def test_label_width_below_a_spec(self, s):
+        doc = {"format_version": 1, "bi": True, "vertex_count": 1, "s": s,
+               "labels": [[1] * (s + 1)], "c_edges": [], "d_edges": [],
+               "metadata": {"feasible_set": "3,2", "variant": "I"}}
+        with pytest.raises(ValueError, match="^s: "):
+            parse(json.dumps(doc))
