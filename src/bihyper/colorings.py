@@ -11,10 +11,14 @@ a 2-vertex C-edge, to its partner's class); a D-edge whose other vertices
 all share class x forbids x.  For a 3-vertex bi-edge with others in classes
 a and b this reads: a == b forbids a, otherwise the vertex must take a or
 b, which rules out exactly the monochromatic and rainbow assignments.  The
-classes left in the mask are tried in ascending order by an iterative walk
-with an explicit stack, so search depth is not bounded by Python's
-recursion limit.  ``nodes_explored`` counts the classes offered at every
-visited depth, pruned or not.
+paper's constructions, 3-uniform bi-hypergraphs, have only such edges: for
+them each depth keeps its closing edges as a list of ``(a, b)`` vertex pairs
+with a kernel of its own, which returns 0 as soon as a pair empties the
+mask.  Any other hypergraph takes the general loop, and pays nothing for
+the pair kernel.  The classes left in the mask are tried in ascending order
+by an iterative walk with an explicit stack, so search depth is not bounded
+by Python's recursion limit.  ``nodes_explored`` counts the classes offered
+at every visited depth, pruned or not.
 
 Correctness is independent of the vertex order; the default order
 (descending edge degree, ties by index) just makes the pruning bite early.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 from operator import add
 
 from .model import (MixedHypergraph, Partition, _canonical_partition, _canonical_partitions,
@@ -114,24 +119,36 @@ class _Searcher:
     """Backtracking state: one instance per (hypergraph, vertex order)."""
 
     def __init__(self, h: MixedHypergraph, order: Sequence[int]):
-        merged: dict[tuple[int, ...], list[bool]] = {}
-        for e in h.c_edges:
-            merged.setdefault(e, [False, False])[0] = True
-        for e in h.d_edges:
-            merged.setdefault(e, [False, False])[1] = True
         self.n = h.vertex_count
         self.order = tuple(order)
         depth_of = [0] * self.n
         for depth, v in enumerate(self.order):
             depth_of[v] = depth
-        # closing[d]: the edges whose last vertex in the order sits at depth d
-        self.closing: list[list[tuple[tuple[int, ...], bool, bool]]] = [[] for _ in self.order]
-        for e, (is_c, is_d) in merged.items():
-            last = max(e, key=depth_of.__getitem__)
-            others = tuple(u for u in e if u != last)
-            self.closing[depth_of[last]].append((others, is_c, is_d))
+        # closing[d]: the edges whose last vertex in the order sits at depth d, as
+        # (other vertices, is_c, is_d), or as the pair of other vertices if bi_3_uniform
+        self.closing: list[list[tuple]] = [[] for _ in self.order]
+        self.bi_3_uniform = h.is_bi() and h.is_3_uniform()
+        if self.bi_3_uniform:
+            for a, b, c in h.c_edges:
+                da, db, dc = depth_of[a], depth_of[b], depth_of[c]
+                pair = (a, b) if dc > da and dc > db else (a, c) if db > da else (b, c)
+                self.closing[max(da, db, dc)].append(pair)
+        else:
+            merged: dict[tuple[int, ...], list[bool]] = {}
+            for e in h.c_edges:
+                merged.setdefault(e, [False, False])[0] = True
+            for e in h.d_edges:
+                merged.setdefault(e, [False, False])[1] = True
+            for e, (is_c, is_d) in merged.items():
+                last = max(e, key=depth_of.__getitem__)
+                others = tuple(u for u in e if u != last)
+                self.closing[depth_of[last]].append((others, is_c, is_d))
         self.labels = [-1] * self.n
         self.nodes = 0
+
+    def _kernel(self) -> Callable[[int, int], int]:
+        """The mask function for this hypergraph's form of ``closing``."""
+        return self._pair_allowed if self.bi_3_uniform else self._allowed
 
     def _allowed(self, depth: int, used: int) -> int:
         """Bitmask of the classes ``0..used`` that the edges closing at ``depth`` permit."""
@@ -156,6 +173,21 @@ class _Searcher:
                 allowed &= ~seen
         return allowed
 
+    def _pair_allowed(self, depth: int, used: int) -> int:
+        """``_allowed`` when every closing edge is a 3-vertex bi-edge, kept as a pair."""
+        labels = self.labels
+        allowed = (2 << used) - 1
+        for a, b in self.closing[depth]:
+            la = labels[a]
+            lb = labels[b]
+            if la == lb:
+                allowed &= ~(1 << la)
+            else:
+                allowed &= (1 << la) | (1 << lb)
+            if not allowed:
+                return 0
+        return allowed
+
     def walk(self, prefix: Sequence[int] = (), stop: int | None = None) -> Iterator[list[int]]:
         """Yield ``self.labels`` at every proper assignment of the first ``stop`` vertices.
 
@@ -163,7 +195,7 @@ class _Searcher:
         the order, uncounted, and must be shorter than ``stop``.  The yielded
         list is live: it changes as the walk resumes.
         """
-        order, labels, allowed_at = self.order, self.labels, self._allowed
+        order, labels, allowed_at = self.order, self.labels, self._kernel()
         stop = self.n if stop is None else stop
         depth = start = len(prefix)
         for pos, c in enumerate(prefix):
@@ -210,6 +242,7 @@ class _Searcher:
         counts = [0] * (n + 1)
         rows: list[bytes] = []
         cache: dict[tuple[bytes, int], list[bytes]] = {}
+        allowed_at = self._kernel()
         self.labels[self.order[-1]] = _HOLE if collect else -1
         for labels in self.walk(prefix, n - 1) if n > 1 else (self.labels,):
             if collect:
@@ -218,7 +251,7 @@ class _Searcher:
                 used = len(pattern) - 1
             else:
                 used = max(labels) + 1
-            mask = self._allowed(n - 1, used)
+            mask = allowed_at(n - 1, used)
             self.nodes += used + 1
             fresh = mask >> used  # 1 if the last vertex may open class ``used``
             counts[used] += mask.bit_count() - fresh
@@ -254,11 +287,10 @@ class _Searcher:
 
 def default_vertex_order(h: MixedHypergraph) -> tuple[int, ...]:
     """Descending edge degree, ties by index."""
-    degree = [0] * h.vertex_count
-    for e in set(h.c_edges) | set(h.d_edges):
-        for v in e:
-            degree[v] += 1
-    return tuple(sorted(range(h.vertex_count), key=lambda v: (-degree[v], v)))
+    edges = h.c_edges if h.c_edges == h.d_edges else set(h.c_edges) | set(h.d_edges)
+    degree = Counter(chain.from_iterable(edges))
+    # a reverse sort is stable, so equal degrees stay in index order
+    return tuple(sorted(range(h.vertex_count), key=degree.__getitem__, reverse=True))
 
 
 def _resolve_order(h: MixedHypergraph, order: Sequence[int] | None) -> tuple[int, ...]:

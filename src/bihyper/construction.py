@@ -51,8 +51,12 @@ class FeasibleSpec(_Record):
         """Coerce an iterable of distinct integers, in any order, to a spec."""
         if isinstance(value, FeasibleSpec):
             return value
-        counts = sorted(value, reverse=True)
-        return cls(tuple(counts))
+        counts = tuple(value)
+        try:
+            counts = tuple(sorted(counts, reverse=True))
+        except TypeError:  # unorderable counts, which the constructor refuses by type
+            pass
+        return cls(counts)
 
     @classmethod
     def from_string(cls, text: str) -> "FeasibleSpec":

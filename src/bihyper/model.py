@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 
@@ -62,9 +62,29 @@ class _Record:
 
 def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
                       kind: str) -> tuple[tuple[int, ...], ...]:
+    """Validate a family into sorted, distinct, increasing, in-range index tuples.
+
+    The rows are read once and checked in bulk by C-level passes (int vertices,
+    2 or more per row, none repeated, all in range).  If a row cannot be read
+    or a check fails, the per-edge loop names the first bad edge.
+    """
+    raws = list(family)
+    rows: list[list] = []
+    try:
+        rows.extend(map(list, raws))  # on a TypeError, keeps the rows read before it
+    except TypeError:
+        pass
+    flat = list(chain.from_iterable(rows))
+    if (len(rows) == len(raws) and set(map(type, flat)) <= {int}
+            and min(map(len, rows), default=2) >= 2 and sum(map(len, map(set, rows))) == len(flat)
+            and min(flat, default=0) >= 0 and max(flat, default=-1) < vertex_count):
+        deque(map(list.sort, rows), maxlen=0)  # the rows are this call's own copies
+        # dict.fromkeys keeps the input order, so sorting a sorted family is linear
+        return tuple(sorted(dict.fromkeys(map(tuple, rows))))
     edges: set[tuple[int, ...]] = set()
-    for raw in family:
-        verts = list(raw)
+    for raw, verts in zip(raws, rows + [None]):
+        if verts is None:  # reading this row raised TypeError
+            raise ValueError(f"{kind}-edge {raw!r}: an edge must be an iterable of vertex indices")
         if not set(map(type, verts)) <= {int}:
             bad = next(v for v in verts if type(v) is not int)
             raise ValueError(f"{kind}-edge {verts}: vertex {bad!r} is not an integer")
@@ -108,7 +128,7 @@ class MixedHypergraph(_Record):
         return self.c_edges == self.d_edges
 
     def is_3_uniform(self) -> bool:
-        return all(len(e) == 3 for e in self.c_edges + self.d_edges)
+        return set(map(len, self.c_edges + self.d_edges)) <= {3}
 
     @property
     def bi_edges(self) -> tuple[tuple[int, ...], ...]:

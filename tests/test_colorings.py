@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bihyper.colorings import (ChromaticSpectrum, _expand_prefix, _Searcher,
-                               chromatic_spectrum, enumerate_strict_colorings, feasible_set,
-                               is_one_realization, iter_strict_colorings)
+                               chromatic_spectrum, default_vertex_order,
+                               enumerate_strict_colorings, feasible_set, is_one_realization,
+                               iter_strict_colorings)
 from bihyper.construction import canonical_colorings, construct
 from bihyper.model import Partition, build_bi_hypergraph, build_hypergraph, is_proper
 
@@ -194,6 +196,82 @@ class TestKernel:
         assert nodes == 3 + 2 * 3
         # count mode tallies the same colorings and nodes without building rows
         assert _expand_prefix(payload + (False,)) == (counts, [], nodes)
+
+
+class _EdgeByEdge(_Searcher):
+    """The kernel's walk with each mask found by testing every class on every closing edge."""
+
+    def __init__(self, h, order):
+        super().__init__(h, order)
+        depth_of = {v: depth for depth, v in enumerate(self.order)}
+        self.checks = [[] for _ in self.order]
+        for e in set(h.c_edges) | set(h.d_edges):
+            self.checks[max(map(depth_of.__getitem__, e))].append(
+                (e, e in h.c_edges, e in h.d_edges))
+
+    def _kernel(self):
+        return self._allowed
+
+    def _allowed(self, depth, used):
+        labels, v = self.labels, self.order[depth]
+        kept, allowed = labels[v], 0
+        for c in range(used + 1):
+            labels[v] = c
+            if all(not (is_c and len({labels[u] for u in e}) == len(e))
+                   and not (is_d and len({labels[u] for u in e}) == 1)
+                   for e, is_c, is_d in self.checks[depth]):
+                allowed |= 1 << c
+        labels[v] = kept
+        return allowed
+
+
+def _walk_nodes(searcher) -> int:
+    """``nodes_explored`` of a full walk, one leaf per coloring."""
+    deque(searcher.walk(), maxlen=0)
+    return searcher.nodes
+
+
+class TestBiEdgeFastPath:
+    """3-vertex bi-edges take a pair-list path in the kernel; it must change no result."""
+
+    def test_certificates_and_walks_are_pinned(self):
+        # every S with n1 <= 8, built as auto, without the special edge and as
+        # variant II, which cover the success, failure and counterexample branches
+        digest, checked = hashlib.sha256(), 0
+        for n1 in range(3, 9):
+            for k in range(1, n1 - 1):
+                for rest in combinations(range(n1 - 1, 1, -1), k):
+                    spec = (n1, *rest)
+                    for kwargs in ({}, {"drop_special": True}, {"variant": "II"}):
+                        checked += 1
+                        try:
+                            h = construct(spec, **kwargs).hypergraph
+                        except Exception as exc:  # pinned by its repr
+                            digest.update(repr(exc).encode())
+                            continue
+                        digest.update(repr(is_one_realization(h, spec)).encode())
+                        searcher = _Searcher(h, default_vertex_order(h))
+                        digest.update(str(_walk_nodes(searcher)).encode())
+        assert checked == 360
+        assert digest.hexdigest() == \
+            "f599bf983cfd3ed15396741eaa48a2ad82a9f633c33d1caa6b770fa03e7c6e63"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bi_hypergraphs_match_the_oracles(self, data):
+        v = data.draw(st.integers(1, 7))
+        sizes = data.draw(st.sampled_from([(3,), (2, 3, 3, 4)]))  # 3-uniform or not
+        pool = [e for size in sizes if size <= v for e in combinations(range(v), size)]
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=8)) if pool else []
+        h = build_bi_hypergraph(v, edges)
+        rep = enumerate_strict_colorings(h)
+        assert list(rep.colorings) == brute_force_colorings(h)
+        # the same families as two equal but distinct objects
+        apart = build_hypergraph(v, edges, [list(e) for e in edges])
+        assert apart == h and (apart.c_edges is not apart.d_edges or not edges)
+        assert enumerate_strict_colorings(apart).nodes_explored == rep.nodes_explored
+        order = default_vertex_order(h)
+        assert _walk_nodes(_Searcher(h, order)) == _walk_nodes(_EdgeByEdge(h, order))
 
 
 def is_restricted_growth(labels) -> bool:

@@ -53,7 +53,11 @@ class TestFeasibleSpec:
         lambda: certify_lower_bound([4.0, 2], 4),
         lambda: construct([4.0, 2]),
         lambda: FeasibleSpec([3, True]),
-    ], ids=["min_size-float", "certify-float", "construct-float", "spec-bool"])
+        lambda: min_size([4, "2"]),
+        lambda: construct([None, 2]),
+        lambda: certify_lower_bound([4, "x"]),
+    ], ids=["min_size-float", "certify-float", "construct-float", "spec-bool",
+            "min_size-str", "construct-none", "certify-str"])
     def test_non_integer_counts_rejected(self, call):
         with pytest.raises(ValueError, match="class counts must be integers"):
             call()

@@ -69,6 +69,104 @@ class TestBuildHypergraph:
         assert not h.is_bi()
         assert not h.is_3_uniform()
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: build_hypergraph(3, [5]), "C-edge 5: an edge must be an iterable"),
+        (lambda: build_hypergraph(3, [], [[0, 1], 7]), "D-edge 7: an edge must be an iterable"),
+        (lambda: build_bi_hypergraph(3, [None]), "bi-edge None: an edge must be an iterable"),
+    ], ids=["C-int", "D-int", "bi-none"])
+    def test_non_iterable_edge(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def _per_edge_family(family, vertex_count, kind):
+    """The per-edge check, one row at a time, that the bulk family check must agree with."""
+    edges = set()
+    for raw in family:
+        try:
+            verts = list(raw)
+        except TypeError:
+            raise ValueError(
+                f"{kind}-edge {raw!r}: an edge must be an iterable of vertex indices") from None
+        if not set(map(type, verts)) <= {int}:
+            bad = next(v for v in verts if type(v) is not int)
+            raise ValueError(f"{kind}-edge {verts}: vertex {bad!r} is not an integer")
+        if len(set(verts)) != len(verts):
+            raise ValueError(f"{kind}-edge {verts}: repeated vertex inside the edge")
+        if len(verts) < 2:
+            raise ValueError(f"{kind}-edge {verts}: an edge needs at least 2 vertices")
+        for v in verts:
+            if not (0 <= v < vertex_count):
+                raise ValueError(
+                    f"{kind}-edge {sorted(verts)}: vertex {v} out of range for "
+                    f"vertex_count={vertex_count}")
+        edges.add(tuple(sorted(verts)))
+    return tuple(sorted(edges))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFamilyValidation:
+    """Families are checked in bulk, with a per-edge fallback naming the first bad edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bulk_check_agrees_with_the_per_edge_check(self, data):
+        v = data.draw(st.integers(2, 6))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, v - 1), min_size=2, max_size=min(4, v), unique=True),
+            max_size=6))
+        # spoil a few rows: a bad entry, a repeated vertex, a short row or no row at all
+        bad = st.one_of(st.sampled_from([-1, v]), st.integers(-3, -1), st.integers(v, v + 2),
+                        st.booleans(),
+                        st.floats(-1, v), st.none(), st.text(max_size=1))
+        for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
+            pos = data.draw(st.integers(0, len(rows) - 1))
+            row = rows[pos]
+            how = data.draw(st.sampled_from(["entry", "repeat", "short", "not a row"]))
+            if how == "entry" and isinstance(row, list) and row:
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(bad)
+            elif how == "repeat" and isinstance(row, list) and row:
+                row.append(row[0])
+            elif how == "short" and isinstance(row, list):
+                del row[data.draw(st.integers(0, 1)):]
+            elif how == "not a row":
+                rows[pos] = data.draw(st.one_of(st.integers(), st.none()))
+        lazy_rows = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        lazy_family = data.draw(st.booleans())
+
+        def family():
+            # fresh each call: a generator row or family is spent once read
+            out = [(x for x in r) if lazy and isinstance(r, list) else r
+                   for r, lazy in zip(rows, lazy_rows)]
+            return iter(out) if lazy_family else out
+
+        for kind, build in (
+                ("C", lambda: build_hypergraph(v, family()).c_edges),
+                ("D", lambda: build_hypergraph(v, (), family()).d_edges),
+                ("bi", lambda: build_bi_hypergraph(v, family()).c_edges)):
+            assert _outcome(build) == _outcome(lambda: _per_edge_family(family(), v, kind))
+
+
+    @pytest.mark.parametrize("spoiled", [
+        [0, -1, 2], [0, 5, 2], [0, True, 2], [0, 1.0, 2], [0, None, 2], [0, "1", 2],
+        [0, 2, 0], [3], [], 7, None])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_one_spoiled_row_is_named(self, spoiled, lazy):
+        # one bad row among good ones, each of them lazy or not
+        def family():
+            rows = [[0, 1, 2], [3, 4], spoiled, [1, 4, 3]]
+            return (iter(r) if lazy and isinstance(r, list) else r for r in rows)
+        for kind, build in (("C", lambda: build_hypergraph(5, family()).c_edges),
+                            ("bi", lambda: build_bi_hypergraph(5, family()).c_edges)):
+            expected = _outcome(lambda: _per_edge_family(family(), 5, kind))
+            assert isinstance(expected, str) and _outcome(build) == expected
+
 
 class TestInducedSubhypergraph:
     def test_edge_not_contained_drops(self):
