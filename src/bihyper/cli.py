@@ -37,7 +37,7 @@ class UsageError(Exception):
 def _load(path: str) -> MixedHypergraph | LabeledHypergraph:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     try:
         return parse(text)
@@ -90,7 +90,10 @@ def _cmd_construct(args) -> int:
         raise UsageError(str(exc))
     text = serialize(built)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
         note = " (unproven regime)" if built.unproven_regime else ""
         print(f"wrote variant {built.variant} construction for {{{spec}}} with "
               f"{built.vertex_count} vertices to {args.out}{note}")
@@ -101,10 +104,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     value = _load(args.file)
-    try:
-        report = enumerate_strict_colorings(_plain(value), limit=0, threads=args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = enumerate_strict_colorings(_plain(value), limit=0)
     spectrum = report.spectrum
     if args.json:
         print(json.dumps({
@@ -182,7 +182,7 @@ def _cmd_isocheck(args) -> int:
     h2 = _plain(_load(args.file2))
     try:
         raw = json.loads(Path(args.map).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read map {args.map}: {exc}")
     try:
         mapping: dict[int, int] = {}
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="enumerate strict colorings of a serialized hypergraph")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("verify", help="check a hypergraph is a one-realization of a set")

@@ -35,9 +35,8 @@ ranks the leaf's classes ``0, 1, ...`` and sends the hole to the rank of
 ``x``, so one C-level ``translate`` gives each leaf's canonical
 restricted-growth form in index order.  The spectrum is tallied per parent.
 Colorings are reported sorted by their encodings (for equal-length
-``bytes`` memcmp order is tuple order), so reports are deterministic,
-including when the search tree is split across worker processes; only the
-kept rows become tuples and Partitions.  A spectrum-only call
+``bytes`` memcmp order is tuple order), so reports are deterministic; only
+the kept rows become tuples and Partitions.  A spectrum-only call
 (``limit=0``) tallies the parents and builds no row.
 """
 
@@ -46,12 +45,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
-from operator import add
 
 from .model import (MixedHypergraph, Partition, _canonical_partition, _canonical_partitions,
                     _Record)
 
-_SPLIT_DEPTH = 4  # tree levels explored before handing branches to workers
 _HOLE = 255  # the last vertex's byte in a parent's labels
 
 
@@ -188,27 +185,19 @@ class _Searcher:
                 return 0
         return allowed
 
-    def walk(self, prefix: Sequence[int] = (), stop: int | None = None) -> Iterator[list[int]]:
+    def walk(self, stop: int | None = None) -> Iterator[list[int]]:
         """Yield ``self.labels`` at every proper assignment of the first ``stop`` vertices.
 
-        ``prefix`` fixes the classes of the first ``len(prefix)`` vertices of
-        the order, uncounted, and must be shorter than ``stop``.  The yielded
-        list is live: it changes as the walk resumes.
+        The yielded list is live: it changes as the walk resumes.
         """
         order, labels, allowed_at = self.order, self.labels, self._kernel()
         stop = self.n if stop is None else stop
-        depth = start = len(prefix)
-        for pos, c in enumerate(prefix):
-            labels[order[pos]] = c
-            if not allowed_at(pos, c) >> c & 1:
-                raise AssertionError("worker received a pruned prefix")
-        used = max(prefix) + 1 if prefix else 0
-        nodes = used + 1
+        depth = used = 0
+        nodes = 1
         candidates = [0] * stop
         used_at = [0] * stop
-        candidates[depth] = allowed_at(depth, used)
-        used_at[depth] = used
-        while depth >= start:
+        candidates[0] = allowed_at(0, 0)
+        while depth >= 0:
             mask = candidates[depth]
             if not mask:
                 depth -= 1
@@ -231,9 +220,8 @@ class _Searcher:
             used_at[depth] = used
         self.nodes += nodes
 
-    def leaves(self, prefix: Sequence[int] = (),
-               collect: bool = True) -> tuple[list[int], list[bytes]]:
-        """``counts[k]``, the k-colorings that extend ``prefix``, and their rows.
+    def leaves(self, collect: bool = True) -> tuple[list[int], list[bytes]]:
+        """``counts[k]``, the number of k-colorings, and the colorings' rows.
 
         The rows are canonical labels as ``bytes``, built only if
         ``collect`` (which needs n <= 256), one ``translate`` per leaf.
@@ -244,7 +232,7 @@ class _Searcher:
         cache: dict[tuple[bytes, int], list[bytes]] = {}
         allowed_at = self._kernel()
         self.labels[self.order[-1]] = _HOLE if collect else -1
-        for labels in self.walk(prefix, n - 1) if n > 1 else (self.labels,):
+        for labels in self.walk(n - 1) if n > 1 else (self.labels,):
             if collect:
                 holed = bytes(labels)
                 pattern = bytes(dict.fromkeys(holed))
@@ -310,13 +298,6 @@ def iter_strict_colorings(h: MixedHypergraph,
     return _Searcher(h, _resolve_order(h, order)).colorings()
 
 
-def _expand_prefix(payload: tuple) -> tuple[list[int], list[bytes], int]:
-    """A worker's share: ``leaves`` under one prefix, and the nodes it explored."""
-    vertex_count, c_edges, d_edges, order, prefix, collect = payload
-    searcher = _Searcher(MixedHypergraph(vertex_count, c_edges, d_edges), order)
-    return (*searcher.leaves(prefix, collect), searcher.nodes)
-
-
 def _rank_table(first: Sequence[int]) -> list[int]:
     """``table[c]`` is the rank of class ``c`` in ``first``, a leaf's classes by first vertex."""
     table = [0] * len(first)
@@ -356,12 +337,16 @@ def enumerate_strict_colorings(h: MixedHypergraph,
         Optional vertex order override; any permutation yields the same
         coloring set.
     threads:
-        Worker processes.  The search tree is split at a fixed shallow
-        depth and the pieces explored independently; reports are identical
-        for any worker count.
+        Accepted and validated (an ``int`` of at least 1), with no effect:
+        the search is serial.  It is kept only for the benchmark's
+        ``colorings.parallel_speedup`` probe, until that metric is dropped.
     """
+    if limit is not None and type(limit) is not int:
+        raise ValueError(f"limit must be an integer or None, got {limit!r}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
+    if type(threads) is not int:
+        raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     n = h.vertex_count
@@ -370,23 +355,7 @@ def enumerate_strict_colorings(h: MixedHypergraph,
     resolved = _resolve_order(h, order)
     collect = limit != 0 and n <= 256
     searcher = _Searcher(h, resolved)
-    if threads == 1 or n < 3:
-        counts, rows = searcher.leaves(collect=collect)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers walk to depth n - 1, so a prefix must stop short of it
-        split = min(_SPLIT_DEPTH, n - 2)
-        payloads = [(n, h.c_edges, h.d_edges, resolved,
-                     tuple(labels[v] for v in resolved[:split]), collect)
-                    for labels in searcher.walk(stop=split)]
-        counts, rows = [0] * (n + 1), []
-        if payloads:
-            with ProcessPoolExecutor(max_workers=min(threads, len(payloads))) as pool:
-                for part_counts, part_rows, part_nodes in pool.map(_expand_prefix, payloads):
-                    counts = list(map(add, counts, part_counts))
-                    rows.extend(part_rows)
-                    searcher.nodes += part_nodes
+    counts, rows = searcher.leaves(collect=collect)
     if limit != 0 and n > 256:  # labels above 255 do not fit a byte
         rows = list(_Searcher(h, resolved).canonical())
     rows.sort()
@@ -399,12 +368,12 @@ def enumerate_strict_colorings(h: MixedHypergraph,
                              searcher.nodes)
 
 
-def chromatic_spectrum(h: MixedHypergraph, threads: int = 1) -> ChromaticSpectrum:
-    return enumerate_strict_colorings(h, limit=0, threads=threads).spectrum
+def chromatic_spectrum(h: MixedHypergraph) -> ChromaticSpectrum:
+    return enumerate_strict_colorings(h, limit=0).spectrum
 
 
-def feasible_set(h: MixedHypergraph, threads: int = 1) -> tuple[int, ...]:
-    return enumerate_strict_colorings(h, limit=0, threads=threads).feasible
+def feasible_set(h: MixedHypergraph) -> tuple[int, ...]:
+    return enumerate_strict_colorings(h, limit=0).feasible
 
 
 class OneRealizationCertificate(_Record):
@@ -442,15 +411,14 @@ def is_one_realization(h: MixedHypergraph, target: Iterable[int],
     coloring at some class count, or any coloring whose class count lies
     outside the target set.
     """
-    wanted = sorted(set(target))
-    if not wanted or wanted[0] < 1:
+    wanted = set(target)
+    if not wanted or not set(map(type, wanted)) <= {int} or min(wanted) < 1:
         raise ValueError("target must be a nonempty set of integers >= 1")
-    goal = tuple(wanted)
-    wanted_set = set(wanted)
+    goal = tuple(sorted(wanted))
     seen: dict[int, Partition] = {}
     for p in iter_strict_colorings(h, order):
         k = p.class_count
-        if k not in wanted_set:
+        if k not in wanted:
             return OneRealizationCertificate(
                 False, goal,
                 failure=f"a strict {k}-coloring exists but {k} is not in the target set",

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from bihyper.cli import main
+from bihyper.cli import build_parser, main
 from bihyper.construction import construct
 from bihyper.model import build_hypergraph
 from bihyper.serialization import serialize
@@ -14,6 +18,19 @@ def write_construction(tmp_path, values, variant="auto", name="h.json"):
     path = tmp_path / name
     path.write_text(serialize(construct(values, variant)))
     return str(path)
+
+
+def write_garbage(tmp_path, name="garbage.json"):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+def assert_one_error_line(capsys, text):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert text in captured.err
+    assert captured.out == ""
 
 
 class TestFormula:
@@ -48,6 +65,13 @@ class TestConstruct:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["c_edges"]) == len(construct([4, 2]).hypergraph.c_edges) - 1
 
+    @pytest.mark.parametrize("out", ["missing/x.json", "."])
+    def test_unwritable_out(self, tmp_path, capsys, out):
+        # a missing directory or a directory as the target is an input error, not a refutation
+        target = str(tmp_path / out)
+        assert main(["construct", "--set", "4,2", "--out", target]) == 2
+        assert_one_error_line(capsys, f"cannot write {target}")
+
 
 class TestSpectrum:
     def test_table(self, tmp_path, capsys):
@@ -65,20 +89,27 @@ class TestSpectrum:
                         "feasible": [2, 4], "strict_colorings": 2, "nodes_explored": 75}
 
     def test_threads_flag(self, tmp_path, capsys):
+        # spectrum has no --threads: the enumerator is serial
         path = write_construction(tmp_path, [4, 2])
-        assert main(["spectrum", path, "--json", "--threads", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["counts"] == [0, 1, 0, 1]
+        assert main(["spectrum", path, "--json", "--threads", "2"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["spectrum", "/no/such/file.json"]) == 2
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one(self, tmp_path, capsys, threads):
+        # with no --threads option, a value below one is a usage error too
         path = write_construction(tmp_path, [3, 2])
         assert main(["spectrum", path, "--threads", threads]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: threads must be at least 1")
+        assert "unrecognized arguments" in captured.err
         assert captured.out == ""
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = write_garbage(tmp_path)
+        assert main(["spectrum", path]) == 2
+        assert_one_error_line(capsys, f"cannot read {path}")
 
 
 class TestVerify:
@@ -107,6 +138,12 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--set", "3,2"]) == 2
         assert "an edge must be a list of integers" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        # an unreadable file is an input error (2), not a refuted claim (1)
+        path = write_garbage(tmp_path)
+        assert main(["verify", path, "--set", "3,2"]) == 2
+        assert_one_error_line(capsys, f"cannot read {path}")
 
 
 class TestMinSearch:
@@ -208,6 +245,17 @@ class TestIsocheck:
         mapping.write_text('{"0": 0}')
         assert main(["isocheck", p1, p1, "--map", str(mapping)]) == 2
 
+    @pytest.mark.parametrize("garbled", ["file1", "map"])
+    def test_non_utf8_file(self, tmp_path, capsys, garbled):
+        p1 = write_construction(tmp_path, [3, 2], name="a.json")
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([[i, i] for i in range(6)]))
+        garbage = write_garbage(tmp_path)
+        args = [garbage, p1, "--map", str(mapping)] if garbled == "file1" \
+            else [p1, p1, "--map", garbage]
+        assert main(["isocheck", *args]) == 2
+        assert_one_error_line(capsys, "cannot read")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -218,3 +266,19 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    def test_readme_usage_matches_the_parser(self):
+        # every "bihyper <command>" line of the README's command-line block names a
+        # subcommand, and every --flag on it is one of that subcommand's options
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Command line\n+```\n(.*?)```", readme, re.S).group(1)
+        subparsers = next(action.choices for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        lines = [line for line in block.splitlines() if line.startswith("bihyper ")]
+        assert lines
+        for line in lines:
+            words = shlex.split(line.split("#")[0])
+            assert words[1] in subparsers, line
+            options = subparsers[words[1]]._option_string_actions
+            flags = [w.strip("[]") for w in words[2:] if w.lstrip("[").startswith("--")]
+            assert [f for f in flags if f not in options] == [], line

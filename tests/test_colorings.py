@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.colorings import (ChromaticSpectrum, _expand_prefix, _Searcher,
+from bihyper.colorings import (ChromaticSpectrum, _Searcher,
                                chromatic_spectrum, default_vertex_order,
                                enumerate_strict_colorings, feasible_set, is_one_realization,
                                iter_strict_colorings)
@@ -175,28 +175,6 @@ class TestKernel:
         assert rep.spectrum.counts == (1,)
         assert rep.nodes_explored == 2_399
 
-    @pytest.mark.parametrize("c_edges,d_edges,prefix", [
-        ([], [(0, 1, 2)], (0, 0, 0)),        # monochromatic D-edge
-        ([(0, 1, 2)], [], (0, 1, 2)),        # rainbow C-edge
-        ([(0, 1)], [], (0, 1)),              # split 2-vertex C-edge
-        ([(0, 1, 2)], [(0, 1, 2)], (0, 0, 0)),  # monochromatic bi-edge
-    ])
-    def test_pruned_prefix_is_an_error(self, c_edges, d_edges, prefix):
-        payload = (5, tuple(c_edges), tuple(d_edges), (0, 1, 2, 3, 4), prefix, True)
-        with pytest.raises(AssertionError, match="pruned prefix"):
-            _expand_prefix(payload)
-
-    def test_surviving_prefix_expands_to_its_colorings(self):
-        h = build_bi_hypergraph(4, [[0, 1, 2]])
-        payload = (4, h.c_edges, h.d_edges, (0, 1, 2, 3), (0, 1))
-        counts, rows, nodes = _expand_prefix(payload + (True,))
-        assert sorted(rows) == [bytes(r) for r in [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 2),
-                                                   (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)]]
-        assert counts == [0, 0, 4, 2, 0]
-        assert nodes == 3 + 2 * 3
-        # count mode tallies the same colorings and nodes without building rows
-        assert _expand_prefix(payload + (False,)) == (counts, [], nodes)
-
 
 class _EdgeByEdge(_Searcher):
     """The kernel's walk with each mask found by testing every class on every closing edge."""
@@ -331,7 +309,7 @@ class TestCanonicalOutput:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_few_vertices_match_the_serial_report(self, rng, n, threads):
-        # the pool splits at depth n - 2 at most, and is skipped below 3 vertices
+        # threads is accepted and has no effect: the report must not change
         instances = [build_hypergraph(n)] + [random_mixed_hypergraph(rng, v_min=n, v_max=n)
                                              for _ in range(3)]
         for h in instances:
@@ -394,9 +372,19 @@ class TestOrderAndDeterminism:
         with pytest.raises(ValueError, match="limit"):
             enumerate_strict_colorings(build_hypergraph(4), limit=limit)
 
+    @pytest.mark.parametrize("limit", [2.5, 1.0, "2", True])
+    def test_non_integer_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            enumerate_strict_colorings(build_hypergraph(4), limit=limit)
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
+            enumerate_strict_colorings(build_hypergraph(4), threads=threads)
+
+    @pytest.mark.parametrize("threads", [2.5, 2.0, "2", True, None])
+    def test_non_integer_threads_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be an integer"):
             enumerate_strict_colorings(build_hypergraph(4), threads=threads)
 
     def test_limit_caps_collection_not_counting(self):
@@ -418,6 +406,7 @@ class TestOrderAndDeterminism:
 
 class TestParallel:
     def test_worker_count_does_not_change_report(self, rng):
+        # threads is accepted and has no effect: the search is serial
         instances = [construct([4, 2]).hypergraph,
                      construct([4, 3, 2]).hypergraph,
                      build_hypergraph(5)]
@@ -427,35 +416,13 @@ class TestParallel:
             parallel = enumerate_strict_colorings(h, threads=3)
             assert sequential == parallel
 
-    def test_pool_has_no_more_workers_than_prefixes(self, monkeypatch):
-        # three vertices split after the first one: a single prefix, so a single worker
-        import concurrent.futures
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        h = build_hypergraph(3)
-        assert enumerate_strict_colorings(h, threads=3) == enumerate_strict_colorings(h)
-        assert sizes == [1]
-
     def test_import_does_not_load_the_pool(self):
-        # the pool is imported only by a call that uses it; it costs every CLI launch
+        # the search is serial: neither import nor a call with threads > 1 loads a pool
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, bihyper\n"
+                "bihyper.enumerate_strict_colorings(bihyper.build_hypergraph(6), threads=2)\n"
                 "print(sorted(m for m in sys.modules\n"
                 "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -557,3 +524,8 @@ class TestOneRealization:
             is_one_realization(build_hypergraph(3), [])
         with pytest.raises(ValueError):
             is_one_realization(build_hypergraph(3), [0, 2])
+
+    @pytest.mark.parametrize("target", [[2.0, 3], ["2", "x"], ["2", 3], [True, 2], [None]])
+    def test_non_integer_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target must be a nonempty set of integers >= 1"):
+            is_one_realization(build_hypergraph(3), target)
