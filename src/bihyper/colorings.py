@@ -23,21 +23,25 @@ at every visited depth, pruned or not.
 Correctness is independent of the vertex order; the default order
 (descending edge degree, ties by index) just makes the pruning bite early.
 The search's labels are restricted-growth in search order, not in index
-order, so a k-coloring's labels are ``0..k-1``.  A report is built one
-last-level parent at a time: a parent assigns every vertex but the last one
-in the order, ``u``, whose allowed classes are its leaves.  The parent is
-copied to ``bytes`` with the hole byte 255 at ``u`` (labels are below n, so
-a byte holds them when n <= 256; larger n takes the lazy per-leaf path).
-Its classes by first vertex in index order, the hole among them, form its
-pattern, one longer than its class count.  For each (pattern, allowed
-classes) pair, and few occur, one 256-byte table per allowed class ``x``
-ranks the leaf's classes ``0, 1, ...`` and sends the hole to the rank of
-``x``, so one C-level ``translate`` gives each leaf's canonical
-restricted-growth form in index order.  The spectrum is tallied per parent.
-Colorings are reported sorted by their encodings (for equal-length
-``bytes`` memcmp order is tuple order), so reports are deterministic; only
-the kept rows become tuples and Partitions.  A spectrum-only call
-(``limit=0``) tallies the parents and builds no row.
+order, so a k-coloring's labels are ``0..k-1``.  There is one walk: it stops
+at each last-level parent, which assigns every vertex but the last one in
+the order, ``u``, and yields the parent's class count with the mask of
+classes ``u`` may take, its leaves, unless that mask is empty.  The lazy
+path (``iter_strict_colorings``, ``is_one_realization``) gives ``u`` each
+class in the mask, ascending, and builds the public ``Partition``, which
+canonicalizes; so it keeps the search order and stops as early as its
+caller does.  A report tallies the spectrum per parent and, when it needs
+rows, encodes them in bulk: the parent is copied to ``bytes`` with the hole
+byte 255 at ``u`` (labels are below n, so a byte holds them when n <= 256;
+larger n takes its rows from the lazy path).  Its classes by first vertex in
+index order, the hole among them, form its pattern, one longer than its
+class count.  For each (pattern, allowed classes) pair, and few occur, one
+256-byte table per allowed class ``x`` ranks the leaf's classes ``0, 1, ...``
+and sends the hole to the rank of ``x``, so one C-level ``translate`` gives
+each leaf's canonical restricted-growth form in index order.  Colorings are
+reported sorted by their encodings (for equal-length ``bytes`` memcmp order
+is tuple order), so reports are deterministic; only the kept rows become
+tuples and Partitions.  A spectrum-only call (``limit=0``) builds no row.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 
-from .model import (MixedHypergraph, Partition, _canonical_partition, _canonical_partitions,
-                    _Record)
+from .model import MixedHypergraph, Partition, _canonical_partitions, _Record
 
 _HOLE = 255  # the last vertex's byte in a parent's labels
 
@@ -185,17 +188,27 @@ class _Searcher:
                 return 0
         return allowed
 
-    def walk(self, stop: int | None = None) -> Iterator[list[int]]:
-        """Yield ``self.labels`` at every proper assignment of the first ``stop`` vertices.
+    def walk(self) -> Iterator[tuple[int, int]]:
+        """Yield ``(used, mask)`` at every last-level parent with a leaf.
 
-        The yielded list is live: it changes as the walk resumes.
+        A last-level parent assigns every vertex but the last one in the
+        order; ``used`` is its class count and ``mask``, never 0, the classes
+        the last vertex may take.  ``self.labels`` holds the parent, live: it
+        changes as the walk resumes, and the last vertex's entry is the
+        caller's.
         """
         order, labels, allowed_at = self.order, self.labels, self._kernel()
-        stop = self.n if stop is None else stop
+        last = self.n - 1
+        if not last:  # one vertex: the empty assignment is the only parent
+            self.nodes += 1
+            mask = allowed_at(0, 0)
+            if mask:
+                yield 0, mask
+            return
         depth = used = 0
         nodes = 1
-        candidates = [0] * stop
-        used_at = [0] * stop
+        candidates = [0] * last
+        used_at = [0] * last
         candidates[0] = allowed_at(0, 0)
         while depth >= 0:
             mask = candidates[depth]
@@ -209,13 +222,15 @@ class _Searcher:
             used = used_at[depth]
             if c == used:
                 used += 1
-            if depth + 1 == stop:
-                self.nodes += nodes
-                nodes = 0
-                yield labels
+            nodes += used + 1
+            if depth + 1 == last:
+                mask = allowed_at(last, used)
+                if mask:
+                    self.nodes += nodes
+                    nodes = 0
+                    yield used, mask
                 continue
             depth += 1
-            nodes += used + 1
             candidates[depth] = allowed_at(depth, used)
             used_at[depth] = used
         self.nodes += nodes
@@ -226,51 +241,33 @@ class _Searcher:
         The rows are canonical labels as ``bytes``, built only if
         ``collect`` (which needs n <= 256), one ``translate`` per leaf.
         """
-        n = self.n
-        counts = [0] * (n + 1)
+        counts = [0] * (self.n + 1)
         rows: list[bytes] = []
         cache: dict[tuple[bytes, int], list[bytes]] = {}
-        allowed_at = self._kernel()
-        self.labels[self.order[-1]] = _HOLE if collect else -1
-        for labels in self.walk(n - 1) if n > 1 else (self.labels,):
-            if collect:
-                holed = bytes(labels)
-                pattern = bytes(dict.fromkeys(holed))
-                used = len(pattern) - 1
-            else:
-                used = max(labels) + 1
-            mask = allowed_at(n - 1, used)
-            self.nodes += used + 1
+        labels = self.labels
+        labels[self.order[-1]] = _HOLE
+        for used, mask in self.walk():
             fresh = mask >> used  # 1 if the last vertex may open class ``used``
             counts[used] += mask.bit_count() - fresh
             counts[used + 1] += fresh
             if collect:
+                holed = bytes(labels)
+                pattern = bytes(dict.fromkeys(holed))
                 tables = cache.get((pattern, mask))
                 if tables is None:
                     tables = cache[pattern, mask] = _leaf_tables(pattern, mask)
                 rows.extend(map(holed.translate, tables))
         return counts, rows
 
-    def canonical(self) -> Iterator[tuple[int, ...]]:
-        """Yield the labels of every coloring, one at a time, in canonical form.
-
-        Each yielded tuple is the restricted-growth encoding in vertex index
-        order, exactly what ``Partition(labels).labels`` would hold, so it
-        may be wrapped by ``model._canonical_partition`` unchecked.  The
-        classes of a leaf, listed by first appearance in index order, pick a
-        table, cached per pattern for this walk, that ranks them ``0, 1, ...``.
-        """
-        ranks: dict[tuple[int, ...], Callable[[int], int]] = {}
-        for labels in self.walk():
-            first = tuple(dict.fromkeys(labels))
-            rank = ranks.get(first)
-            if rank is None:
-                rank = ranks[first] = _rank_table(first).__getitem__
-            yield tuple(map(rank, labels))
-
     def colorings(self) -> Iterator[Partition]:
         """Every strict coloring, lazily, in search order."""
-        return map(_canonical_partition, self.canonical())
+        labels, u = self.labels, self.order[-1]
+        for _, mask in self.walk():
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                labels[u] = low.bit_length() - 1
+                yield Partition(labels)
 
 
 def default_vertex_order(h: MixedHypergraph) -> tuple[int, ...]:
@@ -285,7 +282,7 @@ def _resolve_order(h: MixedHypergraph, order: Sequence[int] | None) -> tuple[int
     if order is None:
         return default_vertex_order(h)
     order = tuple(order)
-    if sorted(order) != list(range(h.vertex_count)):
+    if not set(map(type, order)) <= {int} or sorted(order) != list(range(h.vertex_count)):
         raise ValueError("order must be a permutation of the vertex indices")
     return order
 
@@ -298,22 +295,16 @@ def iter_strict_colorings(h: MixedHypergraph,
     return _Searcher(h, _resolve_order(h, order)).colorings()
 
 
-def _rank_table(first: Sequence[int]) -> list[int]:
-    """``table[c]`` is the rank of class ``c`` in ``first``, a leaf's classes by first vertex."""
-    table = [0] * len(first)
-    for i, c in enumerate(first):
-        table[c] = i
-    return table
-
-
 def _leaf_tables(pattern: bytes, mask: int) -> list[bytes]:
     """Per class ``x`` in ``mask``, ascending: the table that ranks the classes
     of ``pattern`` with the hole set to ``x``, and sends the hole to ``x``'s rank."""
     tables = []
     for x in range(mask.bit_length()):
         if mask >> x & 1:
-            first = bytes(dict.fromkeys(pattern.replace(bytes((_HOLE,)), bytes((x,)))))
-            table = bytearray(_rank_table(first)).ljust(256, b"\0")
+            first = dict.fromkeys(pattern.replace(bytes((_HOLE,)), bytes((x,))))
+            table = bytearray(256)
+            for rank, c in enumerate(first):
+                table[c] = rank
             table[_HOLE] = table[x]
             tables.append(bytes(table))
     return tables
@@ -357,7 +348,7 @@ def enumerate_strict_colorings(h: MixedHypergraph,
     searcher = _Searcher(h, resolved)
     counts, rows = searcher.leaves(collect=collect)
     if limit != 0 and n > 256:  # labels above 255 do not fit a byte
-        rows = list(_Searcher(h, resolved).canonical())
+        rows = [p.labels for p in _Searcher(h, resolved).colorings()]
     rows.sort()
     if limit is not None:
         del rows[limit:]

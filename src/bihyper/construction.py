@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import combinations
+from operator import gt
 
 from .model import (MixedHypergraph, Partition, VertexBijection, _Record,
                     build_bi_hypergraph, induced_subhypergraph, is_proper)
@@ -38,7 +39,7 @@ class FeasibleSpec(_Record):
             raise ValueError(f"class counts must be integers, got {values}")
         if len(values) < 2:
             raise ValueError("a feasible-set target needs at least two class counts")
-        if list(values) != sorted(set(values), reverse=True):
+        if not all(map(gt, values, values[1:])):
             raise ValueError(f"class counts must be strictly decreasing, got {values}")
         if values[-1] < 2:
             raise ValueError(

@@ -184,24 +184,31 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
     A ``v_max`` below the known optimum certifies the lower bound when the
     verdict is ``certified-none``; running at the optimum instead hunts for
     witnesses.  The budget counts masks processed; exceeding it aborts with
-    a resumable ``(v, mask)`` cursor.  A budget below 1, a ``v_max`` below 3
-    (an empty search range) and a ``resume`` cursor outside the search range
-    raise ``ValueError``.  The search stops at the end of the chunk in which
-    ``max_witnesses`` one-realizations are in hand.
+    a resumable ``(v, mask)`` cursor.  A ``budget``, ``v_max``,
+    ``max_witnesses`` or ``resume`` entry that is not an ``int``, a budget
+    below 1, a ``v_max`` below 3 (an empty search range) and a ``resume``
+    cursor outside the search range raise ``ValueError``.  The search stops
+    at the end of the chunk in which ``max_witnesses`` one-realizations are
+    in hand.
     """
     spec = FeasibleSpec.of(spec)
+    if v_max is None:
+        v_max = min_size(spec) - 1
+    for name, value in (("max_witnesses", max_witnesses), ("budget", budget), ("v_max", v_max)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be at least 1")
     if budget < 1:
         raise ValueError(f"budget must be at least 1 mask, got {budget}")
-    if v_max is None:
-        v_max = min_size(spec) - 1
     if v_max < 3:
         raise ValueError(f"max vertex count {v_max} leaves nothing to search: "
                          f"3-uniform instances start at 3 vertices")
     counts = tuple(range(3, v_max + 1))
     if resume is None:
         start_v, start_mask = 3, 0
+    elif len(resume) != 2 or not set(map(type, resume)) <= {int}:
+        raise ValueError(f"resume must be a (v, mask) pair of integers, got {resume!r}")
     else:
         start_v, start_mask = resume
         if start_v not in counts:

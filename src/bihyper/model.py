@@ -64,10 +64,15 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
                       kind: str) -> tuple[tuple[int, ...], ...]:
     """Validate a family into sorted, distinct, increasing, in-range index tuples.
 
-    The rows are read once and checked in bulk by C-level passes (int vertices,
-    2 or more per row, none repeated, all in range).  If a row cannot be read
-    or a check fails, the per-edge loop names the first bad edge.
+    Every public way to make a hypergraph passes here, so this also refuses
+    a ``vertex_count`` that is not a nonnegative ``int`` (a ``bool`` is not
+    one: ``serialize`` would write it as ``true``).  The rows are read once
+    and checked in bulk by C-level passes (int vertices, 2 or more per row,
+    none repeated, all in range).  If a row cannot be read or a check fails,
+    the per-edge loop names the first bad edge.
     """
+    if type(vertex_count) is not int or vertex_count < 0:
+        raise ValueError(f"vertex_count must be a nonnegative int, got {vertex_count!r}")
     raws = list(family)
     rows: list[list] = []
     try:
@@ -114,8 +119,6 @@ class MixedHypergraph(_Record):
     d_edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, vertex_count: int, c_edges=(), d_edges=()) -> None:
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
         for kind, family in (("C", c_edges), ("D", d_edges)):
             if family != _normalize_family(family, vertex_count, kind):
                 raise ValueError(
@@ -143,13 +146,11 @@ def _normalized_hypergraph(vertex_count: int, c_edges: tuple[tuple[int, ...], ..
 
     Trusted path: the caller guarantees that each family is already in the
     form ``_normalize_family`` returns for ``vertex_count`` (a sorted tuple
-    of distinct, strictly increasing, in-range index tuples).  Only a
-    negative ``vertex_count`` is refused; any other unchecked input yields
-    a value the public constructor would have rejected.  Arbitrary families
-    go through :func:`build_hypergraph`.
+    of distinct, strictly increasing, in-range index tuples), which also
+    vouches for ``vertex_count``.  Nothing is checked, so any other input
+    yields a value the public constructor would have rejected.  Arbitrary
+    families go through :func:`build_hypergraph`.
     """
-    if vertex_count < 0:
-        raise ValueError("vertex_count must be nonnegative")
     h = object.__new__(MixedHypergraph)
     object.__setattr__(h, "vertex_count", vertex_count)
     object.__setattr__(h, "c_edges", c_edges)
@@ -276,25 +277,14 @@ class Partition(_Record):
         return "{" + " | ".join(" ".join(str(v) for v in cl) for cl in self.classes()) + "}"
 
 
-def _canonical_partition(labels: tuple[int, ...]) -> Partition:
-    """Wrap ``labels`` as a Partition without re-canonicalizing them.
-
-    Trusted path: the caller guarantees that ``labels`` is a nonempty tuple
-    already in canonical restricted-growth form, as the coloring search
-    emits it.  Nothing is checked, so any other input yields a Partition
-    that compares unequal to the one ``Partition(labels)`` would build.
-    Arbitrary label sequences go through the public constructor.
-    """
-    p = object.__new__(Partition)
-    object.__setattr__(p, "labels", labels)
-    return p
-
-
 def _canonical_partitions(rows: Sequence[tuple[int, ...]]) -> tuple[Partition, ...]:
-    """Wrap every row as :func:`_canonical_partition` would, in bulk.
+    """Wrap every row as a Partition without re-canonicalizing it.
 
-    Trusted path, under the same unchecked guarantee for each row: a
-    nonempty tuple already in canonical restricted-growth form.  The
+    Trusted path: the caller guarantees that each row is a nonempty tuple
+    already in canonical restricted-growth form, as the coloring search's
+    bulk encoder emits it.  Nothing is checked, so any other row yields a
+    Partition that compares unequal to the one ``Partition(row)`` would
+    build; arbitrary label sequences go through the public constructor.  The
     instances are made and filled by C-level ``map`` calls, with no Python
     frame per row.  This lives here to bind ``model.Partition``, which is
     always the class: other modules' ``Partition`` names may be rebound to

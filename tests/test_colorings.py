@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -204,7 +204,7 @@ class _EdgeByEdge(_Searcher):
 
 
 def _walk_nodes(searcher) -> int:
-    """``nodes_explored`` of a full walk, one leaf per coloring."""
+    """``nodes_explored`` of a full walk, one step per last-level parent with a leaf."""
     deque(searcher.walk(), maxlen=0)
     return searcher.nodes
 
@@ -288,6 +288,7 @@ class TestCanonicalOutput:
 
     @pytest.mark.parametrize("threads,instances", [(1, 40), (2, 3)])
     def test_bulk_report_matches_the_lazy_canonical_walk(self, rng, threads, instances):
+        # the byte encoder against the lazy path, which canonicalizes through Partition
         for _ in range(instances):
             h = random_mixed_hypergraph(rng, v_min=1, v_max=8)
             order = list(range(h.vertex_count))
@@ -297,14 +298,14 @@ class TestCanonicalOutput:
             orders = [order] + [[v for v in order if v != last] + [last]
                                 for last in (0, h.vertex_count - 1)]
             for order in orders:
-                searcher = _Searcher(h, order)
-                lazy = sorted(searcher.canonical())
+                lazy = sorted(p.labels for p in iter_strict_colorings(h, order))
                 spectrum = ChromaticSpectrum.from_class_counts(max(labels) + 1 for labels in lazy)
+                nodes = _walk_nodes(_Searcher(h, order))
                 for limit in (None, 0, 1, 3):
                     rep = enumerate_strict_colorings(h, limit=limit, order=order, threads=threads)
                     assert [p.labels for p in rep.colorings] == lazy[:limit]
                     assert rep.spectrum == spectrum and rep.feasible == spectrum.feasible
-                    assert rep.nodes_explored == searcher.nodes
+                    assert rep.nodes_explored == nodes
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -365,6 +366,17 @@ class TestOrderAndDeterminism:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             enumerate_strict_colorings(build_hypergraph(3), order=[0, 0, 1])
+
+    @pytest.mark.parametrize("order", [[1.0, 0], [True, 0], [1, False], ["1", 0]])
+    @pytest.mark.parametrize("call", [
+        lambda h, order: enumerate_strict_colorings(h, order=order),
+        lambda h, order: iter_strict_colorings(h, order),
+        lambda h, order: is_one_realization(h, [2], order),
+    ], ids=["enumerate", "iter", "is_one_realization"])
+    def test_non_integer_order_rejected(self, call, order):
+        # sorted([1.0, 0]) and sorted([True, 0]) both equal [0, 1]
+        with pytest.raises(ValueError, match="order must be a permutation of the vertex indices"):
+            call(build_hypergraph(2, [], [[0, 1]]), order)
 
     @pytest.mark.parametrize("limit", [-1, -15])
     def test_negative_limit_rejected(self, limit):
@@ -470,6 +482,28 @@ def test_reports_are_pinned_on_a_spectrum_pool_subset():
         "ed30edce96dcccc7cd3330df9cfbb734b9febfc2b558ec34c4a8a420e91869c2"
     assert counted.hexdigest() == \
         "c89c619f85a40956a053e43d07bd5311d85065f0caf2ee980f9044f7bd89c0b5"
+
+
+class TestLaziness:
+    """The lazy path stops where its caller does; finishing these searches would never end."""
+
+    def test_edgeless_refutation_stops_at_the_second_two_coloring(self):
+        cert = is_one_realization(build_hypergraph(40), [1, 2])
+        assert cert.failure == "two distinct strict 2-colorings exist"
+        assert [p.labels for p in cert.counterexamples] == [
+            (0,) * 39 + (1,), (0,) * 38 + (1, 0)]
+
+    def test_first_colorings_of_a_large_edgeless_hypergraph(self):
+        first = list(islice(iter_strict_colorings(build_hypergraph(300)), 3))
+        assert [p.labels for p in first] == [
+            (0,) * 300, (0,) * 299 + (1,), (0,) * 298 + (1, 0)]
+
+    def test_long_d_path_is_refuted_by_a_three_coloring(self):
+        h = build_hypergraph(300, [], [(i, i + 1) for i in range(299)])
+        cert = is_one_realization(h, [2])
+        assert cert.failure == "a strict 3-coloring exists but 3 is not in the target set"
+        (p,) = cert.counterexamples
+        assert p.class_count == 3 and is_proper(h, p)
 
 
 class TestOneRealization:

@@ -140,6 +140,18 @@ class TestCertify:
         with pytest.raises(ValueError, match="resume cursor"):
             certify_lower_bound([3, 2], 4, resume=cursor)
 
+    @pytest.mark.parametrize("cursor", [(3,), (3, 0, 0), (4.0, 0), (4, 1.0), (True, 0), (4, "1")])
+    def test_malformed_resume_cursor_is_refused(self, cursor):
+        with pytest.raises(ValueError, match="resume must be a"):
+            certify_lower_bound([3, 2], 4, resume=cursor)
+
+    @pytest.mark.parametrize("name,value", [
+        ("budget", 10.0), ("budget", True), ("budget", "10"),
+        ("v_max", 4.0), ("v_max", True), ("max_witnesses", 1.0), ("max_witnesses", True)])
+    def test_non_integer_arguments_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            certify_lower_bound([3, 2], **{"v_max": 4, name: value})
+
     def test_last_mask_is_a_valid_cursor(self):
         report = certify_lower_bound([3, 2], 4, resume=(4, 15))
         assert report.verdict == VERDICT_NONE

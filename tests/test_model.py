@@ -60,6 +60,14 @@ class TestBuildHypergraph:
         with pytest.raises(ValueError, match="nonnegative"):
             build_bi_hypergraph(-1, [])
 
+    @pytest.mark.parametrize("count", [2.0, 3.5, True, False, "3", None])
+    def test_non_integer_vertex_count(self, count):
+        # serialize would write 2.0 or true, which parse refuses
+        for make in (lambda: build_hypergraph(count), lambda: build_hypergraph(count, [[0, 1]]),
+                     lambda: build_bi_hypergraph(count, []), lambda: MixedHypergraph(count)):
+            with pytest.raises(ValueError, match="vertex_count must be a nonnegative int"):
+                make()
+
     def test_unnormalized_direct_construction_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             MixedHypergraph(3, ((1, 0, 2),), ())

@@ -19,6 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bihyper
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,7 +61,8 @@ def _refuse_constant(name):
     raise ValueError(f"strict JSON has no {name}")
 
 
-def test_traced_run_ends_with_a_strict_json_result(tmp_path):
+@pytest.mark.parametrize("workload", ["settle", "verify-sweep"])
+def test_traced_run_ends_with_a_strict_json_result(tmp_path, workload):
     # a copy of perfbench/ next to a link to src/, so the run's output files
     # land under tmp_path and the checkout is left as it was
     bench = tmp_path / "perfbench"
@@ -68,7 +71,7 @@ def test_traced_run_ends_with_a_strict_json_result(tmp_path):
         shutil.copy(path, bench / path.name)
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "settle", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.2", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
