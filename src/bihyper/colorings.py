@@ -33,12 +33,13 @@ canonicalizes; so it keeps the search order and stops as early as its
 caller does.  A report tallies the spectrum per parent and, when it needs
 rows, encodes them in bulk: the parent is copied to ``bytes`` with the hole
 byte 255 at ``u`` (labels are below n, so a byte holds them when n <= 256;
-larger n takes its rows from the lazy path).  Its classes by first vertex in
-index order, the hole among them, form its pattern, one longer than its
-class count.  For each (pattern, allowed classes) pair, and few occur, one
-256-byte table per allowed class ``x`` ranks the leaf's classes ``0, 1, ...``
-and sends the hole to the rank of ``x``, so one C-level ``translate`` gives
-each leaf's canonical restricted-growth form in index order.  Colorings are
+larger n takes its rows from one walk of the lazy path, and tallies its
+spectrum over them).  Its classes by first vertex in index order, the hole
+among them, form its pattern, one longer than its class count.  For each
+(pattern, allowed classes) pair, and few occur, one 256-byte table per
+allowed class ``x`` ranks the leaf's classes ``0, 1, ...`` and sends the
+hole to the rank of ``x``, so one C-level ``translate`` gives each leaf's
+canonical restricted-growth form in index order.  Colorings are
 reported sorted by their encodings (for equal-length ``bytes`` memcmp order
 is tuple order), so reports are deterministic; only the kept rows become
 tuples and Partitions.  A spectrum-only call (``limit=0``) builds no row.
@@ -343,18 +344,19 @@ def enumerate_strict_colorings(h: MixedHypergraph,
     n = h.vertex_count
     if n == 0:
         return EnumerationReport((), ChromaticSpectrum(()), (), 0)
-    resolved = _resolve_order(h, order)
     collect = limit != 0 and n <= 256
-    searcher = _Searcher(h, resolved)
-    counts, rows = searcher.leaves(collect=collect)
-    if limit != 0 and n > 256:  # labels above 255 do not fit a byte
-        rows = [p.labels for p in _Searcher(h, resolved).colorings()]
+    searcher = _Searcher(h, _resolve_order(h, order))
+    if limit != 0 and n > 256:  # labels above 255 do not fit a byte: one lazy walk
+        rows = [p.labels for p in searcher.colorings()]
+        spectrum = ChromaticSpectrum.from_class_counts(map(len, map(set, rows)))
+    else:
+        counts, rows = searcher.leaves(collect=collect)
+        spectrum = ChromaticSpectrum(tuple(counts[1:]))
     rows.sort()
     if limit is not None:
         del rows[limit:]
     if collect:
         rows = list(map(tuple, rows))
-    spectrum = ChromaticSpectrum(tuple(counts[1:]))
     return EnumerationReport(_canonical_partitions(rows), spectrum, spectrum.feasible,
                              searcher.nodes)
 

@@ -10,6 +10,9 @@ is always a one-realization; variant II deletes one designated vertex,
 reaching ``2*n1 - 1``, and stays a one-realization when ``n2 == n1 - 1``
 and there are at least three class counts.
 
+Labels travel as plain full tuples, flag last, from block assembly to the
+edges; the ``LabeledVertex`` records are made once, at the end.
+
 Grouping vertices by their i-th coordinate always yields a strict
 ni-coloring (the i-th canonical coloring); at desk scale the enumerator
 confirms these are the only strict colorings, i.e. the construction is a
@@ -18,6 +21,7 @@ one-realization of the target set.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
 from operator import gt
@@ -99,9 +103,9 @@ class LabeledVertex(_Record):
         coords = tuple(coords)
         if type(flag) is not int or flag not in (0, 1):
             raise ValueError(f"flag must be 0 or 1, got {flag}")
-        if any(type(x) is not int for x in coords):
+        if not set(map(type, coords)) <= {int}:
             raise ValueError(f"coordinates must be integers, got {coords}")
-        if any(x < 1 for x in coords):
+        if min(coords, default=1) < 1:
             raise ValueError(f"coordinates must be >= 1, got {coords}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "flag", flag)
@@ -163,28 +167,25 @@ def min_size(spec: FeasibleSpec | Iterable[int]) -> int:
     return 2 * spec.n1 - (spec.n2 + 1) // spec.n1
 
 
-def _block_labels(spec: FeasibleSpec) -> list[list[LabeledVertex]]:
-    """The s coordinate blocks, in block order 1..s; duplicates across blocks allowed."""
+def _block_labels(spec: FeasibleSpec) -> list[list[tuple[int, ...]]]:
+    """The s coordinate blocks as full label tuples, in block order 1..s; duplicates
+    across blocks allowed."""
     n = spec.values
     s = spec.s
-    blocks: list[list[LabeledVertex]] = []
+    blocks: list[list[tuple[int, ...]]] = []
     for t in range(1, s):
         block = []
         for k in range(n[t - 1] - n[t]):
             head = (n[t] + k,) * t
-            block.append(LabeledVertex(head + (1,) * (s - t), 0))
-            block.append(LabeledVertex(head + n[t:], 1))
+            block.append(head + (1,) * (s - t) + (0,))
+            block.append(head + n[t:] + (1,))
         blocks.append(block)
     last = []
     for j in range(1, n[-1] + 1):
-        last.append(LabeledVertex((j,) * s, 0))
-        last.append(LabeledVertex((j,) * s, 1))
+        last.append((j,) * s + (0,))
+        last.append((j,) * s + (1,))
     blocks.append(last)
     return blocks
-
-
-def _extra_label(spec: FeasibleSpec) -> LabeledVertex:
-    return LabeledVertex(spec.values, 1)
 
 
 def special_edge_labels(spec: FeasibleSpec) -> tuple[LabeledVertex, LabeledVertex, LabeledVertex]:
@@ -202,32 +203,31 @@ def deleted_label(spec: FeasibleSpec) -> LabeledVertex:
     return LabeledVertex((spec.n2,) + (1,) * (spec.s - 1), 0)
 
 
-def _coordinate_rule_edges(labels: tuple[LabeledVertex, ...]) -> list[tuple[int, int, int]]:
-    """Every triple ``a < b < c`` of labels showing two distinct values in each position.
+def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Every triple ``a < b < c`` of full label tuples showing two distinct values in
+    each position.
 
-    Per-pair bitmask rule: ``holders[j][x]`` is the bitmask of the vertices
-    whose j-th full-tuple entry is ``x``.  For a pair ``a < b`` the third
-    vertex ``c > b`` must, at each position j, differ from both when
-    ``fa[j] == fb[j]`` (clear ``holders[j][fa[j]]``) and repeat one of them
-    otherwise (AND with ``holders[j][fa[j]] | holders[j][fb[j]]``).  The set
-    bits left are exactly the valid ``c``; emitting them low to high keeps
-    the ``itertools.combinations`` order.  Labels are distinct, so some
-    position differs and every mask ends finite.
+    Per-pair bitmask rule: ``rows[i][j]`` is the bitmask of the vertices whose
+    j-th entry equals vertex i's.  For a pair ``a < b`` with masks ``A`` and
+    ``B`` at position j, the third vertex ``c > b`` must differ from both when
+    the values are equal (clear ``A``) and repeat one of them otherwise (AND
+    with ``A | B``).  Equal values give ``A == B`` and different values give
+    disjoint masks, where ``A ^ B == A | B``; so each position is one step,
+    ``mask &= A ^ B or ~A``.  The set bits left are exactly the valid ``c``;
+    emitting them low to high keeps the ``itertools.combinations`` order.
+    Labels are distinct, so some position differs and every mask ends finite.
     """
-    fulls = [v.full for v in labels]
     holders: list[dict[int, int]] = [{} for _ in fulls[0]]
     for i, full in enumerate(fulls):
         bit = 1 << i
         for column, x in zip(holders, full):
             column[x] = column.get(x, 0) | bit
+    rows = [tuple(map(dict.__getitem__, holders, full)) for full in fulls]
     edges = []
-    for a, b in combinations(range(len(fulls)), 2):
+    for a, b in combinations(range(len(rows)), 2):
         mask = -1 << (b + 1)
-        for column, xa, xb in zip(holders, fulls[a], fulls[b]):
-            if xa == xb:
-                mask &= ~column[xa]
-            else:
-                mask &= column[xa] | column[xb]
+        for A, B in zip(rows[a], rows[b]):
+            mask &= A ^ B or ~A
         while mask:
             low = mask & -mask
             edges.append((a, b, low.bit_length() - 1))
@@ -251,9 +251,11 @@ def construct(spec: FeasibleSpec | Iterable[int], variant: str = "auto",
     one-realization: II when ``n2 == n1 - 1`` and there are at least three
     class counts, I otherwise.  Variant II can be forced for any spec but
     is flagged ``unproven_regime`` outside that region (for two counts it
-    demonstrably gains extra 2-colorings).  ``drop_special`` omits the
-    explicit flag-monochromatic edge, for probing how much the coordinate
-    rule alone pins down.
+    demonstrably gains extra 2-colorings).  It is built directly on its
+    ``2*n1 - 1`` kept labels, and keeps the special edge only when all three
+    of its labels survive (for two counts it holds the deleted vertex).
+    ``drop_special`` omits the explicit flag-monochromatic edge, for probing
+    how much the coordinate rule alone pins down.
     """
     spec = FeasibleSpec.of(spec)
     if variant == "auto":
@@ -261,41 +263,37 @@ def construct(spec: FeasibleSpec | Iterable[int], variant: str = "auto",
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected I, II or auto")
 
-    pool = [_extra_label(spec)]
+    pool = [spec.values + (1,)]  # the extra vertex
     for block in _block_labels(spec):
         pool.extend(block)
-    tally: dict[LabeledVertex, int] = {}
-    for label in pool:
-        tally[label] = tally.get(label, 0) + 1
-    duplicated = sorted((v for v, c in tally.items() if c > 1), key=lambda v: v.full)
-    seam = LabeledVertex((spec.values[-1],) * spec.s, 1)
+    tally = Counter(pool)
+    duplicated = sorted(v for v, c in tally.items() if c > 1)
+    seam = (spec.values[-1],) * spec.s + (1,)
     if duplicated != [seam] or tally[seam] != 2:
         raise RuntimeError(
-            f"blocks overlap in {[str(v) for v in duplicated]}; expected exactly "
-            f"{seam} shared by the last two blocks")
+            f"blocks overlap in {duplicated}; expected exactly {seam} shared by the "
+            "last two blocks")
+    fulls = sorted(tally)
+    if len(fulls) != 2 * spec.n1:
+        raise RuntimeError(f"built {len(fulls)} vertices, expected {2 * spec.n1}")
 
-    labels = tuple(sorted(tally, key=lambda v: v.full))
-    if len(labels) != 2 * spec.n1:
-        raise RuntimeError(f"built {len(labels)} vertices, expected {2 * spec.n1}")
-
-    edges = _coordinate_rule_edges(labels)
-    if not drop_special:
-        index = {label: i for i, label in enumerate(labels)}
-        special = tuple(sorted(index[v] for v in special_edge_labels(spec)))
+    if variant == "II":  # built directly on the kept vertices
+        deleted = deleted_label(spec).full
+        if deleted not in tally:
+            raise RuntimeError("variant II expected to delete exactly one vertex")
+        fulls.remove(deleted)
+    edges = _coordinate_rule_edges(fulls)
+    index = dict(zip(fulls, range(len(fulls))))
+    special = [index.get(v.full) for v in special_edge_labels(spec)]
+    if not drop_special and None not in special:  # for s = 2 variant II deletes one
+        special = tuple(sorted(special))
         if special in edges:
             raise RuntimeError("special edge already produced by the coordinate rule")
         edges.append(special)
-    hypergraph = build_bi_hypergraph(len(labels), edges)
-
-    if variant == "II":
-        keep = [i for i, label in enumerate(labels) if label != deleted_label(spec)]
-        if len(keep) != len(labels) - 1:
-            raise RuntimeError("variant II expected to delete exactly one vertex")
-        hypergraph, _ = induced_subhypergraph(hypergraph, keep)
-        labels = tuple(labels[i] for i in keep)
 
     return LabeledHypergraph(
-        hypergraph, labels, spec, variant,
+        build_bi_hypergraph(len(fulls), edges),
+        tuple(LabeledVertex(v[:-1], v[-1]) for v in fulls), spec, variant,
         unproven_regime=(variant == "II" and not _variant_ii_sound(spec)))
 
 
@@ -309,8 +307,10 @@ def canonical_coloring(built: LabeledHypergraph, i: int) -> Partition:
     for vertex, label in enumerate(built.labels):
         classes[label.coords[i - 1] - 1].append(vertex)
     partition = Partition.from_classes(classes)
-    assert partition.class_count == ni, "a canonical class is unexpectedly empty"
-    assert is_proper(built.hypergraph, partition), "canonical coloring is improper"
+    if partition.class_count != ni:
+        raise RuntimeError("a canonical class is unexpectedly empty")
+    if not is_proper(built.hypergraph, partition):
+        raise RuntimeError("canonical coloring is improper")
     return partition
 
 
@@ -350,12 +350,11 @@ def reduction_bijection(spec: FeasibleSpec | Iterable[int]) -> ReductionMap:
             "must leave a valid target")
     parent = construct(spec, "I")
 
-    wanted: set[LabeledVertex] = {LabeledVertex((spec.n2,) + spec.values[1:], 1)}
-    blocks = _block_labels(spec)
-    for block in blocks[1:]:
+    wanted = {(spec.n2,) + spec.values[1:] + (1,)}
+    for block in _block_labels(spec)[1:]:
         wanted.update(block)
-    index = parent.label_index()
-    subset = tuple(sorted(index[label] for label in wanted))
+    index = {label.full: i for i, label in enumerate(parent.labels)}
+    subset = tuple(sorted(index[full] for full in wanted))
 
     restricted, old_to_new = induced_subhypergraph(parent.hypergraph, subset)
     target = construct(spec.tail(), "I")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import gt, itemgetter, le
 
 from .construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
 from .model import (MixedHypergraph, _normalize_family, _normalized_hypergraph, _Record,
@@ -73,7 +74,7 @@ def _document_for(value: MixedHypergraph | LabeledHypergraph) -> HypergraphDocum
         return HypergraphDocument(
             FORMAT_VERSION, h.is_bi(), h.vertex_count, h.c_edges, h.d_edges,
             s=value.spec.s,
-            labels=tuple(label.full for label in value.labels),
+            labels=tuple(label.coords + (label.flag,) for label in value.labels),
             metadata=tuple(metadata))
     return HypergraphDocument(
         FORMAT_VERSION, value.is_bi(), value.vertex_count, value.c_edges, value.d_edges)
@@ -124,7 +125,10 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
 
     Raises ValueError with a line diagnostic for malformed syntax and a
     field diagnostic for semantic problems (out-of-range indices, duplicate
-    labels, a bi claim with mismatched families, ...).
+    labels, a bi claim with mismatched families, ...).  Label rows are checked
+    in bulk by C-level passes (width, int entries, flags in {0, 1}, coordinates
+    >= 1, duplicates, per-position bounds); only when a pass fails does a
+    per-label loop run, to name the first bad label.
     """
     try:
         doc = json.loads(text)
@@ -158,15 +162,19 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError(f"s: a labeled document needs at least 2 class counts, got {s}")
     if len(raw_labels) != vertex_count:
         raise ValueError(f"labels: {len(raw_labels)} labels for {vertex_count} vertices")
-    labels = []
-    for pos, entry in enumerate(raw_labels):
-        if not isinstance(entry, list) or len(entry) != s + 1 or not _integers(entry):
-            raise ValueError(f"labels[{pos}]: expected a list of {s + 1} integers")
-        try:
-            labels.append(LabeledVertex(tuple(entry[:-1]), entry[-1]))
-        except ValueError as exc:
-            raise ValueError(f"labels[{pos}]: {exc}") from exc
-    if len(set(labels)) != len(labels):
+    if not (set(map(type, raw_labels)) <= {list} and set(map(len, raw_labels)) <= {s + 1}
+            and set(map(type, chain.from_iterable(raw_labels))) <= {int}
+            and set(map(itemgetter(-1), raw_labels)) <= {0, 1}
+            and min(chain.from_iterable(map(itemgetter(slice(-1)), raw_labels)), default=1) >= 1):
+        for pos, entry in enumerate(raw_labels):
+            if not isinstance(entry, list) or len(entry) != s + 1 or not _integers(entry):
+                raise ValueError(f"labels[{pos}]: expected a list of {s + 1} integers")
+            try:
+                LabeledVertex(entry[:-1], entry[-1])
+            except ValueError as exc:
+                raise ValueError(f"labels[{pos}]: {exc}") from exc
+    fulls = list(map(tuple, raw_labels))
+    if len(set(fulls)) != len(fulls):
         raise ValueError("labels: duplicate labels")
 
     try:
@@ -178,21 +186,22 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError(f"metadata: unknown variant {variant!r}")
     if spec.s != s:
         raise ValueError(f"s: {s} does not match the {spec.s} counts in metadata")
-    for pos, label in enumerate(labels):
-        if any(x > bound for x, bound in zip(label.coords, spec.values)):
-            raise ValueError(
-                f"labels[{pos}]: coordinates {label.coords} exceed the per-position "
-                f"bounds {spec.values}")
+    if not all(map(le, map(max, zip(*fulls)), spec.values)):
+        for pos, full in enumerate(fulls):
+            if any(map(gt, full, spec.values)):
+                raise ValueError(
+                    f"labels[{pos}]: coordinates {full[:-1]} exceed the per-position "
+                    f"bounds {spec.values}")
 
     # Normalize vertex order to the sorted labels, remapping edges to match.
-    rank = sorted(range(vertex_count), key=lambda i: labels[i].full)
-    new_of_old = {old: new for new, old in enumerate(rank)}
+    rank = sorted(range(vertex_count), key=fulls.__getitem__)
     if rank != list(range(vertex_count)):
+        new_of_old = {old: new for new, old in enumerate(rank)}
         c_rows = [[new_of_old[v] for v in e] for e in h.c_edges]
         h = _build(vertex_count, c_rows,
                    c_rows if h.is_bi() else [[new_of_old[v] for v in e] for e in h.d_edges])
-        labels = [labels[old] for old in rank]
+        fulls = [fulls[old] for old in rank]
 
     return LabeledHypergraph(
-        h, tuple(labels), spec, variant,
+        h, tuple(LabeledVertex(full[:-1], full[-1]) for full in fulls), spec, variant,
         unproven_regime=str(metadata.get("unproven_regime", "")).lower() == "true")

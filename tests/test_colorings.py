@@ -346,6 +346,29 @@ class TestCanonicalOutput:
         assert [p.labels for p in rep.colorings] == [tuple(range(n))]
         assert rep.nodes_explored == n * (n + 1) // 2 == 45_150
 
+    def test_over_256_vertices_walks_once(self, monkeypatch):
+        # rows, spectrum and nodes come from one lazy walk: 0, 1 and 2 may share classes
+        n = 257
+        h = build_hypergraph(n, [], [e for e in combinations(range(n), 2) if e[1] > 2])
+        lazy = sorted(p.labels for p in iter_strict_colorings(h))
+        counted = enumerate_strict_colorings(h, limit=0)
+        built = []
+
+        class Counting(_Searcher):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("bihyper.colorings._Searcher", Counting)
+        for limit in (None, 2):
+            built.clear()
+            rep = enumerate_strict_colorings(h, limit=limit)
+            assert len(built) == 1
+            assert rep.spectrum == counted.spectrum
+            assert rep.spectrum.counts[-3:] == (1, 3, 1)
+            assert rep.nodes_explored == counted.nodes_explored
+            assert [p.labels for p in rep.colorings] == lazy[:limit]
+
 
 class TestOrderAndDeterminism:
     def test_any_vertex_order_gives_same_colorings(self, rng):

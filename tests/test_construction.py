@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from bihyper.colorings import (chromatic_spectrum, enumerate_strict_colorings,
                                is_one_realization)
-from bihyper.construction import (FeasibleSpec, LabeledVertex, canonical_coloring,
-                                  canonical_colorings, construct, deleted_label,
-                                  min_size, reduction_bijection, special_edge_labels)
+from bihyper.construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex,
+                                  canonical_coloring, canonical_colorings, construct,
+                                  deleted_label, min_size, reduction_bijection,
+                                  special_edge_labels)
 from bihyper.minimality import certify_lower_bound
-from bihyper.model import check_isomorphism_under_map, is_proper
+from bihyper.model import check_isomorphism_under_map, induced_subhypergraph, is_proper
 
 
 def all_specs(n1_max: int, sizes=(2, 3, 4)) -> list[FeasibleSpec]:
@@ -179,6 +184,37 @@ class TestVariants:
         with pytest.raises(ValueError, match="variant"):
             construct([4, 2], "III")
 
+    @staticmethod
+    def _variant_ii_by_deletion(spec, drop_special):
+        # variant I with its designated vertex, (n2, 1, ..., 1; 0), deleted afterwards
+        full = construct(spec, "I", drop_special=drop_special)
+        gone = LabeledVertex((spec.n2,) + (1,) * (spec.s - 1), 0)
+        keep = [i for i, label in enumerate(full.labels) if label != gone]
+        assert len(keep) == full.vertex_count - 1
+        h, _ = induced_subhypergraph(full.hypergraph, keep)
+        sound = spec.n2 == spec.n1 - 1 and spec.s >= 3
+        return LabeledHypergraph(h, tuple(full.labels[i] for i in keep), spec, "II",
+                                 unproven_regime=not sound)
+
+    def test_direct_variant_ii_equals_deletion_from_variant_i(self):
+        for spec in all_specs(9, sizes=range(2, 9)):
+            for drop_special in (False, True):
+                expected = self._variant_ii_by_deletion(spec, drop_special)
+                assert construct(spec, "II", drop_special=drop_special) == expected
+                auto = construct(spec, drop_special=drop_special)
+                if auto.variant == "II":
+                    assert auto == expected
+                else:
+                    assert auto == construct(spec, "I", drop_special=drop_special)
+
+    def test_forced_variant_ii_on_two_counts_drops_the_special_edge(self):
+        # for s = 2 the deleted vertex (n2, 1; 0) is on the special edge
+        for spec in all_specs(9, sizes=(2,)):
+            assert deleted_label(spec) in special_edge_labels(spec)
+            built = construct(spec, "II")
+            assert built == construct(spec, "II", drop_special=True)
+            assert built == self._variant_ii_by_deletion(spec, True)
+
 
 class TestCanonicalColorings:
     def test_four_two_first_coordinate(self):
@@ -213,6 +249,22 @@ class TestCanonicalColorings:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             canonical_coloring(construct([4, 2]), 3)
+
+    def test_invariant_checks_survive_optimized_mode(self):
+        # under python -O an assert is gone; the invariant checks must still raise
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from bihyper import construction\n"
+                "construction.is_proper = lambda h, p: False\n"
+                "try:\n"
+                "    construction.canonical_coloring(construction.construct([4, 2]), 1)\n"
+                "except RuntimeError as exc:\n"
+                "    print(sys.flags.optimize, exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "1 canonical coloring is improper"
 
 
 class TestOneRealizationDeskScale:
@@ -282,6 +334,33 @@ class TestLabeledVertex:
         with pytest.raises(ValueError, match="coordinates must be integers"):
             LabeledVertex(("2", 1), 0)
         assert str(LabeledVertex((2, 1), 0)) == "(2,1,0)"
+
+    @staticmethod
+    def _reference_error(coords, flag):
+        # the constructor's checks before they became C-level passes
+        coords = tuple(coords)
+        if type(flag) is not int or flag not in (0, 1):
+            return f"flag must be 0 or 1, got {flag}"
+        if any(type(x) is not int for x in coords):
+            return f"coordinates must be integers, got {coords}"
+        if any(x < 1 for x in coords):
+            return f"coordinates must be >= 1, got {coords}"
+        return None
+
+    @pytest.mark.parametrize("coords, flag", [
+        ((1.0, 2), 0), ((True, 2), 0), ((2, False), 1), (("2", 1), 0), ((None,), 0),
+        ((0, 1), 0), ((1, -3), 1), ((0, 1.5), 0), ((0, 1), 2), ((1, 2), -1),
+        ((1, 2), True), ((1, 2), 1.0), ((1, "x"), 5), ((), 0), ((1, 2), 1), ((4, 4, 4), 0),
+    ])
+    def test_messages_match_the_per_coordinate_checks(self, coords, flag):
+        expected = self._reference_error(coords, flag)
+        for given in (coords, list(coords), iter(coords)):
+            if expected is None:
+                assert LabeledVertex(given, flag).full == tuple(coords) + (flag,)
+            else:
+                with pytest.raises(ValueError) as caught:
+                    LabeledVertex(given, flag)
+                assert str(caught.value) == expected
 
     def test_drop_first(self):
         assert LabeledVertex((3, 3, 2), 1).drop_first() == LabeledVertex((3, 2), 1)

@@ -276,3 +276,137 @@ class TestParseFuzz:
                "metadata": {"feasible_set": "3,2", "variant": "I"}}
         with pytest.raises(ValueError, match="^s: "):
             parse(json.dumps(doc))
+
+
+def _reference_parse(text):
+    """``parse`` as it was before the bulk label check: one LabeledVertex per label row."""
+    from bihyper.construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
+    from bihyper.serialization import _build, _edge_list, _integers, _take
+
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("malformed document: top level must be an object")
+    version = _take(doc, "format_version", (int,))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"format_version: unsupported version {version}")
+    bi = _take(doc, "bi", (bool,))
+    vertex_count = _take(doc, "vertex_count", (int,))
+    if vertex_count < 0:
+        raise ValueError("vertex_count: must be nonnegative")
+    try:
+        h = _build(vertex_count, _edge_list(doc, "c_edges"), _edge_list(doc, "d_edges"))
+    except ValueError as exc:
+        raise ValueError(f"edges: {exc}") from exc
+    if bi and not h.is_bi():
+        raise ValueError("bi: document claims bi but C- and D-families differ")
+    metadata = _take(doc, "metadata", (dict,), required=False) or {}
+    raw_labels = _take(doc, "labels", (list,), required=False)
+    if raw_labels is None:
+        return h
+    s = _take(doc, "s", (int,))
+    if s < 2:
+        raise ValueError(f"s: a labeled document needs at least 2 class counts, got {s}")
+    if len(raw_labels) != vertex_count:
+        raise ValueError(f"labels: {len(raw_labels)} labels for {vertex_count} vertices")
+    labels = []
+    for pos, entry in enumerate(raw_labels):
+        if not isinstance(entry, list) or len(entry) != s + 1 or not _integers(entry):
+            raise ValueError(f"labels[{pos}]: expected a list of {s + 1} integers")
+        try:
+            labels.append(LabeledVertex(tuple(entry[:-1]), entry[-1]))
+        except ValueError as exc:
+            raise ValueError(f"labels[{pos}]: {exc}") from exc
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels: duplicate labels")
+    try:
+        spec = FeasibleSpec.from_string(str(metadata["feasible_set"]))
+        variant = str(metadata["variant"])
+    except KeyError as exc:
+        raise ValueError(f"metadata: labeled documents need {exc.args[0]}") from exc
+    if variant not in ("I", "II"):
+        raise ValueError(f"metadata: unknown variant {variant!r}")
+    if spec.s != s:
+        raise ValueError(f"s: {s} does not match the {spec.s} counts in metadata")
+    for pos, label in enumerate(labels):
+        if any(x > bound for x, bound in zip(label.coords, spec.values)):
+            raise ValueError(
+                f"labels[{pos}]: coordinates {label.coords} exceed the per-position "
+                f"bounds {spec.values}")
+    rank = sorted(range(vertex_count), key=lambda i: labels[i].full)
+    new_of_old = {old: new for new, old in enumerate(rank)}
+    if rank != list(range(vertex_count)):
+        c_rows = [[new_of_old[v] for v in e] for e in h.c_edges]
+        h = _build(vertex_count, c_rows,
+                   c_rows if h.is_bi() else [[new_of_old[v] for v in e] for e in h.d_edges])
+        labels = [labels[old] for old in rank]
+    return LabeledHypergraph(
+        h, tuple(labels), spec, variant,
+        unproven_regime=str(metadata.get("unproven_regime", "")).lower() == "true")
+
+
+_LABELED = [serialize(construct(values, variant))
+            for values, variant in (([3, 2], "I"), ([3, 2], "II"), ([4, 2], "I"),
+                                    ([5, 3, 2], "I"), ([4, 3, 2], "II"), ([6, 5, 3], "II"),
+                                    ([5, 4, 3, 2], "auto"))]
+_ENTRIES = [True, False, 1.0, 2.5, "1", None, 0, -1, -4, 1, 2, 3, 99]
+
+
+def _mutate_label_rows(data, doc) -> None:
+    """One mutation of the label rows: a wrong width, a bad entry, flag or
+    coordinate, a coordinate above its bound, a duplicate row, or a shuffle
+    of the rows with the edges remapped to match."""
+    rows = doc["labels"]
+    kind = data.draw(st.sampled_from(["width", "entry", "flag", "coordinate", "bound",
+                                      "duplicate", "shuffle"]))
+    pos = data.draw(st.integers(0, len(rows) - 1))
+    row = rows[pos]
+    bounds = [int(x) for x in doc["metadata"]["feasible_set"].split(",")]
+    # Earlier width mutations may have made the row shorter or longer than s + 1;
+    # a mutation that needs a position the row (or the bounds) lacks leaves it alone.
+    if kind == "width":
+        rows[pos] = row[:-1] if data.draw(st.booleans()) else row + [1]
+    elif kind == "entry" and row:
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(_ENTRIES))
+    elif kind == "flag" and row:
+        row[-1] = data.draw(st.sampled_from([2, -1]))
+    elif kind == "coordinate" and len(row) >= 2:
+        row[data.draw(st.integers(0, len(row) - 2))] = data.draw(st.sampled_from([0, -1, -7]))
+    elif kind == "bound" and min(len(row) - 1, len(bounds)) >= 1:
+        j = data.draw(st.integers(0, min(len(row) - 1, len(bounds)) - 1))
+        row[j] = bounds[j] + data.draw(st.integers(1, 3))
+    elif kind == "duplicate":
+        rows[pos] = list(rows[data.draw(st.integers(0, len(rows) - 1))])
+    elif kind == "shuffle":
+        order = data.draw(st.permutations(range(len(rows))))  # new vertex i is old order[i]
+        new_of_old = {old: new for new, old in enumerate(order)}
+        doc["labels"] = [rows[old] for old in order]
+        for key in ("c_edges", "d_edges"):
+            doc[key] = [[new_of_old[v] for v in e] for e in doc[key]]
+
+
+class TestBulkLabelCheck:
+    """The bulk label check gives the per-label loop's value or its first message."""
+
+    @staticmethod
+    def _outcome(parser, text):
+        try:
+            return "value", parser(text)
+        except ValueError as exc:
+            return "error", str(exc)
+
+    def test_unmutated_documents(self):
+        for text in _LABELED:
+            assert self._outcome(parse, text) == self._outcome(_reference_parse, text)
+            assert serialize(parse(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_LABELED), st.integers(1, 3), st.data())
+    def test_mutated_label_rows(self, text, rounds, data):
+        doc = json.loads(text)
+        for _ in range(rounds):
+            _mutate_label_rows(data, doc)
+        mutated = json.dumps(doc)
+        assert self._outcome(parse, mutated) == self._outcome(_reference_parse, mutated)
