@@ -31,15 +31,16 @@ path (``iter_strict_colorings``, ``is_one_realization``) gives ``u`` each
 class in the mask, ascending, and builds the public ``Partition``, which
 canonicalizes; so it keeps the search order and stops as early as its
 caller does.  A report tallies the spectrum per parent and, when it needs
-rows, encodes them in bulk: the parent is copied to ``bytes`` with the hole
-byte 255 at ``u`` (labels are below n, so a byte holds them when n <= 256;
-larger n takes its rows from one walk of the lazy path, and tallies its
-spectrum over them).  Its classes by first vertex in index order, the hole
-among them, form its pattern, one longer than its class count.  For each
-(pattern, allowed classes) pair, and few occur, one 256-byte table per
-allowed class ``x`` ranks the leaf's classes ``0, 1, ...`` and sends the
-hole to the rank of ``x``, so one C-level ``translate`` gives each leaf's
-canonical restricted-growth form in index order.  Colorings are
+rows, only records the parent: copied to ``bytes`` with the hole byte 255
+at ``u`` (labels are below n, so a byte holds them when n <= 256; larger n
+takes its rows from one walk of the lazy path, and tallies its spectrum
+over them), beside its mask.  After the walk, C-level passes encode all
+parents in bulk.  A parent's classes by first vertex in index order, the
+hole among them, form its pattern, one longer than its class count.  For
+each distinct (pattern, allowed classes) pair, and few occur, one 256-byte
+table per allowed class ``x`` ranks the leaf's classes ``0, 1, ...`` and
+sends the hole to the rank of ``x``, so one C-level ``translate`` gives
+each leaf's canonical restricted-growth form in index order.  Colorings are
 reported sorted by their encodings (for equal-length ``bytes`` memcmp order
 is tuple order), so reports are deterministic; only the kept rows become
 tuples and Partitions.  A spectrum-only call (``limit=0``) builds no row.
@@ -50,6 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
+from operator import attrgetter
 
 from .model import MixedHypergraph, Partition, _canonical_partitions, _Record
 
@@ -240,11 +242,14 @@ class _Searcher:
         """``counts[k]``, the number of k-colorings, and the colorings' rows.
 
         The rows are canonical labels as ``bytes``, built only if
-        ``collect`` (which needs n <= 256), one ``translate`` per leaf.
+        ``collect`` (which needs n <= 256).  The walk only records each
+        parent and its mask; C-level passes then find the patterns, build
+        the tables once per distinct (pattern, mask), and ``translate``
+        every parent by each of its tables.
         """
         counts = [0] * (self.n + 1)
-        rows: list[bytes] = []
-        cache: dict[tuple[bytes, int], list[bytes]] = {}
+        parents: list[bytes] = []
+        masks: list[int] = []
         labels = self.labels
         labels[self.order[-1]] = _HOLE
         for used, mask in self.walk():
@@ -252,13 +257,12 @@ class _Searcher:
             counts[used] += mask.bit_count() - fresh
             counts[used + 1] += fresh
             if collect:
-                holed = bytes(labels)
-                pattern = bytes(dict.fromkeys(holed))
-                tables = cache.get((pattern, mask))
-                if tables is None:
-                    tables = cache[pattern, mask] = _leaf_tables(pattern, mask)
-                rows.extend(map(holed.translate, tables))
-        return counts, rows
+                parents.append(bytes(labels))
+                masks.append(mask)
+        keys = list(zip(map(bytes, map(dict.fromkeys, parents)), masks))
+        tables = {key: _leaf_tables(*key) for key in set(keys)}
+        return counts, list(chain.from_iterable(map(
+            map, map(attrgetter("translate"), parents), map(tables.__getitem__, keys))))
 
     def colorings(self) -> Iterator[Partition]:
         """Every strict coloring, lazily, in search order."""

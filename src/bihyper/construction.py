@@ -306,9 +306,9 @@ def canonical_coloring(built: LabeledHypergraph, i: int) -> Partition:
     classes: list[list[int]] = [[] for _ in range(ni)]
     for vertex, label in enumerate(built.labels):
         classes[label.coords[i - 1] - 1].append(vertex)
-    partition = Partition.from_classes(classes)
-    if partition.class_count != ni:
+    if not all(classes):
         raise RuntimeError("a canonical class is unexpectedly empty")
+    partition = Partition.from_classes(classes)
     if not is_proper(built.hypergraph, partition):
         raise RuntimeError("canonical coloring is improper")
     return partition

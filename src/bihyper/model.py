@@ -32,6 +32,8 @@ class ImproperColoringError(ValueError):
 class _Record:
     """Value semantics over the fields a subclass annotates, in order."""
 
+    __slots__ = ()
+
     def __init_subclass__(cls) -> None:
         fields = tuple(cls.__dict__.get("__annotations__", ()))
         if fields:  # a subclass that annotates nothing keeps its parent's fields
@@ -211,6 +213,7 @@ class Partition(_Record):
     """
 
     labels: tuple[int, ...]
+    __slots__ = ("labels", "__weakref__")
 
     def __init__(self, labels: Iterable[int]) -> None:
         labels = tuple(labels)
@@ -238,6 +241,10 @@ class Partition(_Record):
         if set(assignment) != set(range(n)):
             raise ValueError("classes do not cover a dense vertex range 0..n-1")
         return cls(tuple(assignment[v] for v in range(n)))
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy would otherwise restore the slot by setattr, which is refused
+        return Partition, (self.labels,)
 
     @property
     def size(self) -> int:
@@ -286,13 +293,15 @@ def _canonical_partitions(rows: Sequence[tuple[int, ...]]) -> tuple[Partition, .
     Partition that compares unequal to the one ``Partition(row)`` would
     build; arbitrary label sequences go through the public constructor.  The
     instances are made and filled by C-level ``map`` calls, with no Python
-    frame per row.  This lives here to bind ``model.Partition``, which is
-    always the class: other modules' ``Partition`` names may be rebound to
-    a plain function (a profiler wrapping the constructor, say), and
-    ``object.__new__`` needs the type itself.
+    frame per row: ``object.__new__`` makes them and the ``labels`` slot's
+    own descriptor fills them, past the refusing ``__setattr__``.  This
+    lives here to bind ``model.Partition``, which is always the class: other
+    modules' ``Partition`` names may be rebound to a plain function (a
+    profiler wrapping the constructor, say), and ``object.__new__`` needs
+    the type itself.
     """
     parts = tuple(map(object.__new__, repeat(Partition, len(rows))))
-    deque(map(object.__setattr__, parts, repeat("labels"), rows), maxlen=0)
+    deque(map(Partition.labels.__set__, parts, rows), maxlen=0)
     return parts
 
 

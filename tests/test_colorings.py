@@ -507,6 +507,38 @@ def test_reports_are_pinned_on_a_spectrum_pool_subset():
         "c89c619f85a40956a053e43d07bd5311d85065f0caf2ee980f9044f7bd89c0b5"
 
 
+def _pin_population(rng: random.Random, count: int):
+    """``count`` random mixed hypergraphs on 1..10 vertices with C-, D- and
+    bi-edges of sizes 2..4, each with a shuffled vertex order."""
+    for _ in range(count):
+        v = rng.randint(1, 10)
+        pool = [e for size in (2, 3, 4) if size <= v for e in combinations(range(v), size)]
+        c_edges, d_edges = [], []
+        for e in rng.sample(pool, min(len(pool), rng.randint(v // 2, 2 * v))):
+            role = rng.random()  # C-only below 0.4, D-only from 0.7, bi between
+            if role < 0.7:
+                c_edges.append(e)
+            if role >= 0.4:
+                d_edges.append(e)
+        order = list(range(v))
+        rng.shuffle(order)
+        yield build_hypergraph(v, c_edges, d_edges), order
+
+
+def test_full_reports_are_pinned_on_random_hypergraphs():
+    # every report, in full, as a prefix and in count mode, under the default
+    # and a shuffled order; the digest was taken from the per-parent encoder
+    digest, checked = hashlib.sha256(), 0
+    for h, order in _pin_population(random.Random("full-report-pin"), 90):
+        for o in (None, order):
+            for limit in (None, 0, 3):
+                checked += 1
+                digest.update(repr(enumerate_strict_colorings(h, limit=limit, order=o)).encode())
+    assert checked == 540
+    assert digest.hexdigest() == \
+        "50547dd52cdc399c0661f35ad0766ec8b6ced5848ea34915fce810866dc99ab4"
+
+
 class TestLaziness:
     """The lazy path stops where its caller does; finishing these searches would never end."""
 

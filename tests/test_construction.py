@@ -266,6 +266,17 @@ class TestCanonicalColorings:
                              text=True, check=True).stdout
         assert out.strip() == "1 canonical coloring is improper"
 
+    def test_unused_coordinate_value_is_an_empty_canonical_class(self):
+        # relabel the one vertex with first coordinate 4 to 3: class 4 of
+        # coordinate 1 is then empty, which the invariant check must name
+        built = construct([4, 2])
+        labels = tuple(LabeledVertex(tuple(3 if c == 4 else c for c in v.coords), v.flag)
+                       for v in built.labels)
+        assert 4 in {v.coords[0] for v in built.labels}
+        broken = LabeledHypergraph(built.hypergraph, labels, built.spec, built.variant)
+        with pytest.raises(RuntimeError, match="a canonical class is unexpectedly empty"):
+            canonical_coloring(broken, 1)
+
 
 class TestOneRealizationDeskScale:
     def test_small_specs_realize_exactly_their_counts(self):

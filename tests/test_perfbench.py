@@ -61,7 +61,7 @@ def _refuse_constant(name):
     raise ValueError(f"strict JSON has no {name}")
 
 
-@pytest.mark.parametrize("workload", ["settle", "verify-sweep"])
+@pytest.mark.parametrize("workload", ["settle", "verify-sweep", "spectrum"])
 def test_traced_run_ends_with_a_strict_json_result(tmp_path, workload):
     # a copy of perfbench/ next to a link to src/, so the run's output files
     # land under tmp_path and the checkout is left as it was

@@ -1,13 +1,15 @@
 """Value semantics of the package's twelve record types.
 
 Each record is built by keyword with its documented field names and
-defaults, and must compare, hash, print, freeze and pickle as a value.
+defaults, and must compare, hash, print, freeze, pickle and copy as a value.
 ``SearchReport`` is the one mutable record: assignable and unhashable.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
+import weakref
 
 import pytest
 
@@ -143,8 +145,28 @@ def test_search_report_is_mutable_and_unhashable():
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_pickle_round_trip(name):
     value = RECORDS[name][0]()
-    copy = pickle.loads(pickle.dumps(value))
-    assert type(copy) is type(value) and copy == value and repr(copy) == repr(value)
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for twin in copies:
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_partition_is_a_slotted_value():
+    # Partition keeps its labels in a slot; weak references, the refused
+    # writes and value semantics must survive that and any round trip
+    p = Partition((0, 1, 0))
+    assert weakref.ref(p)() is p
+    for write in (lambda: setattr(p, "labels", (0, 0, 0)), lambda: setattr(p, "other", 1),
+                  lambda: delattr(p, "labels")):
+        with pytest.raises(AttributeError):
+            write()
+    assert p.labels == (0, 1, 0)
+    fresh = Partition(p.labels)
+    twins = [pickle.loads(pickle.dumps(p, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins + [copy.copy(p), copy.deepcopy(p)]:
+        assert twin == fresh and hash(twin) == hash(fresh)
 
 
 def test_positional_construction_and_defaults():
