@@ -20,8 +20,16 @@ by an iterative walk with an explicit stack, so search depth is not bounded
 by Python's recursion limit.  ``nodes_explored`` counts the classes offered
 at every visited depth, pruned or not.
 
-Correctness is independent of the vertex order; the default order
-(descending edge degree, ties by index) just makes the pruning bite early.
+Correctness is independent of the vertex order; the default order just
+makes the pruning bite early.  It closes edges as soon as it can: each
+depth takes the unplaced vertex that closes the most edges, then touches
+the most edges that hold a placed vertex, then has the highest degree, the
+lowest index on ties.  The last depth is reserved for the vertex of least
+degree, the highest index on ties, which is the vertex a descending-degree
+order puts last; the last-level parents depend only on that vertex.  The
+searcher plans this order in the pass that fills the closing lists, and
+each placement updates only its own edges.
+
 The search's labels are restricted-growth in search order, not in index
 order, so a k-coloring's labels are ``0..k-1``.  There is one walk: it stops
 at each last-level parent, which assigns every vertex but the last one in
@@ -56,6 +64,7 @@ from operator import attrgetter
 from .model import MixedHypergraph, Partition, _canonical_partitions, _Record
 
 _HOLE = 255  # the last vertex's byte in a parent's labels
+_RAISED = 64  # raised vertices the planner scans per depth before it heaps them
 
 
 class ChromaticSpectrum(_Record):
@@ -119,34 +128,133 @@ class EnumerationReport(_Record):
 
 
 class _Searcher:
-    """Backtracking state: one instance per (hypergraph, vertex order)."""
+    """Backtracking state: one instance per (hypergraph, vertex order).
 
-    def __init__(self, h: MixedHypergraph, order: Sequence[int]):
-        self.n = h.vertex_count
-        self.order = tuple(order)
-        depth_of = [0] * self.n
-        for depth, v in enumerate(self.order):
-            depth_of[v] = depth
-        # closing[d]: the edges whose last vertex in the order sits at depth d, as
-        # (other vertices, is_c, is_d), or as the pair of other vertices if bi_3_uniform
-        self.closing: list[list[tuple]] = [[] for _ in self.order]
-        self.bi_3_uniform = h.is_bi() and h.is_3_uniform()
-        if self.bi_3_uniform:
+    Without an ``order`` it plans :func:`default_vertex_order` in the pass
+    that fills ``closing``.
+    """
+
+    def __init__(self, h: MixedHypergraph, order: Sequence[int] | None = None):
+        n = self.n = h.vertex_count
+        # a bi-hypergraph's families are equal, so its C-edges show 3-uniformity
+        self.bi_3_uniform = pairs = h.is_bi() and {3}.issuperset(map(len, h.c_edges))
+        # link[v]: the edges of v; as the pair of other vertices if bi_3_uniform,
+        # the entry ``closing`` keeps for an edge that v closes
+        link: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        if pairs:
             for a, b, c in h.c_edges:
-                da, db, dc = depth_of[a], depth_of[b], depth_of[c]
-                pair = (a, b) if dc > da and dc > db else (a, c) if db > da else (b, c)
-                self.closing[max(da, db, dc)].append(pair)
+                link[a].append((b, c))
+                link[b].append((a, c))
+                link[c].append((a, b))
         else:
-            merged: dict[tuple[int, ...], list[bool]] = {}
+            flags: dict[tuple[int, ...], list[bool]] = {}  # edge -> [is_c, is_d]
             for e in h.c_edges:
-                merged.setdefault(e, [False, False])[0] = True
+                flags.setdefault(e, [False, False])[0] = True
             for e in h.d_edges:
-                merged.setdefault(e, [False, False])[1] = True
-            for e, (is_c, is_d) in merged.items():
-                last = max(e, key=depth_of.__getitem__)
-                others = tuple(u for u in e if u != last)
-                self.closing[depth_of[last]].append((others, is_c, is_d))
-        self.labels = [-1] * self.n
+                flags.setdefault(e, [False, False])[1] = True
+            for e in flags:
+                for v in e:
+                    link[v].append(e)
+        # rank[v] = v - n * (closes * top**2 + touches * top + degree), where v
+        # would close ``closes`` edges and touches ``touches`` edges that hold a
+        # placed vertex, each at most the degree, below ``top``: the least rank
+        # is the vertex to place next.  With a given order nothing reads it
+        degree = list(map(len, link))
+        top = max(degree, default=0) + 1
+        touch = top * n
+        close = top * touch
+        rank = [v - d * n for v, d in enumerate(degree)]
+        placed = [False] * n
+        raised: set[int] = set()  # the vertices raised since they were last heaped
+        planning = order is None
+        if planning:
+            # the degree order's last vertex (least degree, highest index) stays
+            # last, so the last-level parents are the ones that order has
+            last = max(range(n), key=rank.__getitem__, default=-1)
+            # a vertex that touches a placed vertex outranks every vertex that
+            # does not, whose rank is still its degree's: the first come from
+            # ``raised`` and from a lazy heap, whose entries are valid while they
+            # equal their vertex's rank, the others from the degree order
+            untouched = iter(sorted(range(n), key=rank.__getitem__))
+            heap: list[int] = []  # filled, and heapq imported, only past _RAISED
+            order = []
+        # closing[d]: the edges whose last vertex sits at depth d, as the pair of
+        # other vertices if bi_3_uniform, else as (others, is_c, is_d)
+        closing: list[list[tuple]] = []
+        for depth in range(n):
+            if not planning:
+                v = order[depth]
+            elif depth == n - 1:
+                v = last
+                order.append(v)
+            else:
+                while heap and rank[heap[0] % n] != heap[0]:
+                    heappop(heap)
+                if heap or raised:
+                    best = heap[0] if heap else n
+                    if raised:
+                        best = min(best, min(map(rank.__getitem__, raised)))
+                    v = best % n
+                    raised.discard(v)
+                else:
+                    v = next(untouched)
+                    while placed[v] or v == last:
+                        v = next(untouched)
+                rank[v] = n  # placed: no entry of v is valid any more
+                order.append(v)
+            placed[v] = True
+            closes = []
+            # per edge of v: with every other vertex placed, v closes it; with one
+            # left, that one would close it; placed first, v makes the others touch it
+            if pairs:
+                for pair in link[v]:
+                    a, b = pair
+                    if placed[a]:
+                        if placed[b]:
+                            closes.append(pair)
+                        else:
+                            rank[b] -= close
+                            raised.add(b)
+                    elif placed[b]:
+                        rank[a] -= close
+                        raised.add(a)
+                    else:
+                        rank[a] -= touch
+                        rank[b] -= touch
+                        raised.add(a)
+                        raised.add(b)
+            else:
+                for e in link[v]:
+                    free = []
+                    for u in e:
+                        if not placed[u]:
+                            free.append(u)
+                    if not free:
+                        j = e.index(v)
+                        closes.append((e[:j] + e[j + 1:], *flags[e]))
+                        continue
+                    if len(free) == 1:
+                        (u,) = free
+                        # in a 2-vertex edge v is also the first placed
+                        rank[u] -= close + touch if len(e) == 2 else close
+                        raised.add(u)
+                    elif len(free) == len(e) - 1:
+                        for u in free:
+                            rank[u] -= touch
+                        raised.update(free)
+            if planning:
+                raised.discard(last)
+                if len(raised) > _RAISED:
+                    # imported here, ``import bihyper`` and small searches never
+                    # load heapq; the heap is empty until this first runs
+                    from heapq import heappop, heappush
+                    for u in raised:
+                        heappush(heap, rank[u])
+                    raised.clear()
+            closing.append(closes)
+        self.closing = closing
+        self.order = tuple(order)
+        self.labels = [-1] * n
         self.nodes = 0
 
     def _kernel(self) -> Callable[[int, int], int]:
@@ -276,16 +384,22 @@ class _Searcher:
 
 
 def default_vertex_order(h: MixedHypergraph) -> tuple[int, ...]:
-    """Descending edge degree, ties by index."""
-    edges = h.c_edges if h.c_edges == h.d_edges else set(h.c_edges) | set(h.d_edges)
-    degree = Counter(chain.from_iterable(edges))
-    # a reverse sort is stable, so equal degrees stay in index order
-    return tuple(sorted(range(h.vertex_count), key=degree.__getitem__, reverse=True))
+    """The edge-closing order the search uses when no order is given.
+
+    The last depth is reserved for the vertex of least edge degree, the
+    highest index among ties: the vertex a descending-degree order puts last.
+    Each other depth takes the unplaced vertex that maximizes, in order, the
+    edges it would close, the edges it touches that already hold a placed
+    vertex, and its degree; ties go to the lowest index.  Without edges
+    this is ``range(n)``.
+    """
+    return _Searcher(h).order
 
 
-def _resolve_order(h: MixedHypergraph, order: Sequence[int] | None) -> tuple[int, ...]:
+def _checked_order(h: MixedHypergraph, order: Sequence[int] | None) -> tuple[int, ...] | None:
+    """``order`` as a tuple, or ``None`` for the default; anything else is refused."""
     if order is None:
-        return default_vertex_order(h)
+        return None
     order = tuple(order)
     if not set(map(type, order)) <= {int} or sorted(order) != list(range(h.vertex_count)):
         raise ValueError("order must be a permutation of the vertex indices")
@@ -295,9 +409,10 @@ def _resolve_order(h: MixedHypergraph, order: Sequence[int] | None) -> tuple[int
 def iter_strict_colorings(h: MixedHypergraph,
                           order: Sequence[int] | None = None) -> Iterator[Partition]:
     """Lazily yield strict colorings in search order; each partition appears exactly once."""
+    order = _checked_order(h, order)
     if h.vertex_count == 0:
         return iter(())
-    return _Searcher(h, _resolve_order(h, order)).colorings()
+    return _Searcher(h, order).colorings()
 
 
 def _leaf_tables(pattern: bytes, mask: int) -> list[bytes]:
@@ -345,11 +460,12 @@ def enumerate_strict_colorings(h: MixedHypergraph,
         raise ValueError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    order = _checked_order(h, order)
     n = h.vertex_count
     if n == 0:
         return EnumerationReport((), ChromaticSpectrum(()), (), 0)
     collect = limit != 0 and n <= 256
-    searcher = _Searcher(h, _resolve_order(h, order))
+    searcher = _Searcher(h, order)
     if limit != 0 and n > 256:  # labels above 255 do not fit a byte: one lazy walk
         rows = [p.labels for p in searcher.colorings()]
         spectrum = ChromaticSpectrum.from_class_counts(map(len, map(set, rows)))

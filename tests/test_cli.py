@@ -86,7 +86,7 @@ class TestSpectrum:
         assert main(["spectrum", path, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"vertex_count": 8, "upper_chromatic": 4, "counts": [0, 1, 0, 1],
-                        "feasible": [2, 4], "strict_colorings": 2, "nodes_explored": 75}
+                        "feasible": [2, 4], "strict_colorings": 2, "nodes_explored": 52}
 
     def test_threads_flag(self, tmp_path, capsys):
         # spectrum has no --threads: the enumerator is serial

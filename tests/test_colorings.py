@@ -7,8 +7,9 @@ import pickle
 import random
 import subprocess
 import sys
-from collections import deque
-from itertools import combinations, islice
+import time
+from collections import Counter, deque
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,14 @@ from bihyper.model import Partition, build_bi_hypergraph, build_hypergraph, is_p
 
 from conftest import (BELL, brute_force_colorings, random_mixed_hypergraph,
                       stirling_row)
+
+
+def _degree_order(h):
+    """The default vertex order before the edge-closing one: descending edge
+    degree, ties by index.  Digests pinned before that order pass it explicitly."""
+    edges = h.c_edges if h.c_edges == h.d_edges else set(h.c_edges) | set(h.d_edges)
+    degree = Counter(chain.from_iterable(edges))
+    return tuple(sorted(range(h.vertex_count), key=degree.__getitem__, reverse=True))
 
 
 class TestSpectrumType:
@@ -166,7 +175,9 @@ class TestKernel:
         assert edgeless.spectrum.total == 115_975
         built = construct([10, 9, 2]).hypergraph
         assert built.vertex_count == 19
-        assert enumerate_strict_colorings(built).nodes_explored == 2_610
+        degree = _degree_order(built)
+        assert enumerate_strict_colorings(built, order=degree).nodes_explored == 2_610
+        assert enumerate_strict_colorings(built).nodes_explored == 165
 
     def test_long_path_is_searched_without_recursion(self):
         # the recursive kernel raised RecursionError above about 1,000 vertices
@@ -209,30 +220,43 @@ def _walk_nodes(searcher) -> int:
     return searcher.nodes
 
 
+def _small_constructions():
+    """``(S, hypergraph)`` for every S with n1 <= 8, built as auto, without the
+    special edge and as variant II; the hypergraph is the exception if the build
+    raised one."""
+    for n1 in range(3, 9):
+        for k in range(1, n1 - 1):
+            for rest in combinations(range(n1 - 1, 1, -1), k):
+                spec = (n1, *rest)
+                for kwargs in ({}, {"drop_special": True}, {"variant": "II"}):
+                    try:
+                        yield spec, construct(spec, **kwargs).hypergraph
+                    except Exception as exc:
+                        yield spec, exc
+
+
 class TestBiEdgeFastPath:
     """3-vertex bi-edges take a pair-list path in the kernel; it must change no result."""
 
     def test_certificates_and_walks_are_pinned(self):
         # every S with n1 <= 8, built as auto, without the special edge and as
-        # variant II, which cover the success, failure and counterexample branches
-        digest, checked = hashlib.sha256(), 0
-        for n1 in range(3, 9):
-            for k in range(1, n1 - 1):
-                for rest in combinations(range(n1 - 1, 1, -1), k):
-                    spec = (n1, *rest)
-                    for kwargs in ({}, {"drop_special": True}, {"variant": "II"}):
-                        checked += 1
-                        try:
-                            h = construct(spec, **kwargs).hypergraph
-                        except Exception as exc:  # pinned by its repr
-                            digest.update(repr(exc).encode())
-                            continue
-                        digest.update(repr(is_one_realization(h, spec)).encode())
-                        searcher = _Searcher(h, default_vertex_order(h))
-                        digest.update(str(_walk_nodes(searcher)).encode())
+        # variant II, which cover the success, failure and counterexample branches;
+        # under the degree order and under the default
+        digests, checked = {"degree": hashlib.sha256(), "default": hashlib.sha256()}, 0
+        for spec, h in _small_constructions():
+            checked += 1
+            for name, order in (("degree", _degree_order(h)), ("default", None)):
+                digest = digests[name]
+                if isinstance(h, Exception):  # pinned by its repr
+                    digest.update(repr(h).encode())
+                    continue
+                digest.update(repr(is_one_realization(h, spec, order)).encode())
+                digest.update(str(_walk_nodes(_Searcher(h, order))).encode())
         assert checked == 360
-        assert digest.hexdigest() == \
+        assert digests["degree"].hexdigest() == \
             "f599bf983cfd3ed15396741eaa48a2ad82a9f633c33d1caa6b770fa03e7c6e63"
+        assert digests["default"].hexdigest() == \
+            "f8591d8e508d7eb3a231cb4ce5d7696ad64dafd8bf319b5c94214249bf9ced45"
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -370,6 +394,13 @@ class TestCanonicalOutput:
             assert [p.labels for p in rep.colorings] == lazy[:limit]
 
 
+_EACH_ORDER_ENTRY_POINT = pytest.mark.parametrize("call", [
+    lambda h, order: enumerate_strict_colorings(h, order=order),
+    lambda h, order: iter_strict_colorings(h, order),
+    lambda h, order: is_one_realization(h, [2], order),
+], ids=["enumerate", "iter", "is_one_realization"])
+
+
 class TestOrderAndDeterminism:
     def test_any_vertex_order_gives_same_colorings(self, rng):
         for _ in range(10):
@@ -391,15 +422,24 @@ class TestOrderAndDeterminism:
             enumerate_strict_colorings(build_hypergraph(3), order=[0, 0, 1])
 
     @pytest.mark.parametrize("order", [[1.0, 0], [True, 0], [1, False], ["1", 0]])
-    @pytest.mark.parametrize("call", [
-        lambda h, order: enumerate_strict_colorings(h, order=order),
-        lambda h, order: iter_strict_colorings(h, order),
-        lambda h, order: is_one_realization(h, [2], order),
-    ], ids=["enumerate", "iter", "is_one_realization"])
+    @_EACH_ORDER_ENTRY_POINT
     def test_non_integer_order_rejected(self, call, order):
         # sorted([1.0, 0]) and sorted([True, 0]) both equal [0, 1]
         with pytest.raises(ValueError, match="order must be a permutation of the vertex indices"):
             call(build_hypergraph(2, [], [[0, 1]]), order)
+
+    @pytest.mark.parametrize("order", [[5], ["x"], [0]])
+    @_EACH_ORDER_ENTRY_POINT
+    def test_order_is_checked_without_vertices(self, call, order):
+        # the hypergraph without vertices has no search, but its order is still checked
+        with pytest.raises(ValueError, match="order must be a permutation of the vertex indices"):
+            call(build_hypergraph(0), order)
+
+    def test_empty_order_of_the_empty_hypergraph(self):
+        h = build_hypergraph(0)
+        assert enumerate_strict_colorings(h, order=[]) == enumerate_strict_colorings(h)
+        assert list(iter_strict_colorings(h, ())) == []
+        assert default_vertex_order(h) == ()
 
     @pytest.mark.parametrize("limit", [-1, -15])
     def test_negative_limit_rejected(self, limit):
@@ -495,16 +535,24 @@ def _spectrum_pool():
 
 def test_reports_are_pinned_on_a_spectrum_pool_subset():
     # digests of the reports' reprs as the per-leaf canonicalizer produced
-    # them, in full and in count mode
-    digest, counted = hashlib.sha256(), hashlib.sha256()
+    # them, in full and in count mode, under the degree order; then under the
+    # default, where only nodes_explored may differ
+    digest, counted, default = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for v, c_edges, d_edges in _spectrum_pool()[::20]:
         h = build_hypergraph(v, c_edges, d_edges)
-        digest.update(repr(enumerate_strict_colorings(h)).encode())
-        counted.update(repr(enumerate_strict_colorings(h, limit=0)).encode())
+        degree = _degree_order(h)
+        report = enumerate_strict_colorings(h, order=degree)
+        digest.update(repr(report).encode())
+        counted.update(repr(enumerate_strict_colorings(h, limit=0, order=degree)).encode())
+        planned = enumerate_strict_colorings(h)
+        assert planned.colorings == report.colorings and planned.spectrum == report.spectrum
+        default.update(repr(planned).encode())
     assert digest.hexdigest() == \
         "ed30edce96dcccc7cd3330df9cfbb734b9febfc2b558ec34c4a8a420e91869c2"
     assert counted.hexdigest() == \
         "c89c619f85a40956a053e43d07bd5311d85065f0caf2ee980f9044f7bd89c0b5"
+    assert default.hexdigest() == \
+        "bed36527a83c2c646794abc10b4d8b937f09d90d4ae42ed0114d826883dde9eb"
 
 
 def _pin_population(rng: random.Random, count: int):
@@ -526,17 +574,108 @@ def _pin_population(rng: random.Random, count: int):
 
 
 def test_full_reports_are_pinned_on_random_hypergraphs():
-    # every report, in full, as a prefix and in count mode, under the default
-    # and a shuffled order; the digest was taken from the per-parent encoder
-    digest, checked = hashlib.sha256(), 0
+    # every report, in full, as a prefix and in count mode, under the degree
+    # order and a shuffled order; the digest was taken from the per-parent
+    # encoder.  The default order's reports have a digest of their own
+    digest, default, checked = hashlib.sha256(), hashlib.sha256(), 0
     for h, order in _pin_population(random.Random("full-report-pin"), 90):
-        for o in (None, order):
+        for o in (_degree_order(h), order):
             for limit in (None, 0, 3):
                 checked += 1
                 digest.update(repr(enumerate_strict_colorings(h, limit=limit, order=o)).encode())
+        for limit in (None, 0, 3):
+            default.update(repr(enumerate_strict_colorings(h, limit=limit)).encode())
     assert checked == 540
     assert digest.hexdigest() == \
         "50547dd52cdc399c0661f35ad0766ec8b6ced5848ea34915fce810866dc99ab4"
+    assert default.hexdigest() == \
+        "6ee3cc21ad196455301afe9b96d4747fc34a8d1a7ed13eb22946a7c5e9987455"
+
+
+def _closing_order_reference(h):
+    """The edge-closing order straight from its rule, every vertex rescored at every depth."""
+    n = h.vertex_count
+    if not n:
+        return ()
+    edges_of = {v: [] for v in range(n)}
+    for e in set(h.c_edges) | set(h.d_edges):
+        for v in e:
+            edges_of[v].append(e)
+    last = _degree_order(h)[-1]
+    placed, order = set(), []
+
+    def score(v):
+        return (sum(all(u in placed for u in e if u != v) for e in edges_of[v]),
+                sum(any(u in placed for u in e) for e in edges_of[v]),
+                len(edges_of[v]), -v)
+
+    for _ in range(n - 1):
+        order.append(max((v for v in range(n) if v not in placed and v != last), key=score))
+        placed.add(order[-1])
+    return (*order, last)
+
+
+class TestEdgeClosingOrder:
+    """The default order closes edges early and keeps the degree order's last vertex."""
+
+    def test_matches_the_rule(self, rng):
+        for _ in range(150):
+            h = random_mixed_hypergraph(rng, v_min=0, v_max=10)
+            assert default_vertex_order(h) == _closing_order_reference(h)
+        for spec in ([4, 2], [10, 9, 2], [12, 5, 2], [20, 19]):
+            h = construct(spec).hypergraph
+            assert default_vertex_order(h) == _closing_order_reference(h)
+
+    def test_matches_the_rule_through_the_heap(self, rng, monkeypatch):
+        # the planner heaps its raised vertices once there are more than
+        # _RAISED; with 1 that happens at almost every depth
+        monkeypatch.setattr("bihyper.colorings._RAISED", 1)
+        for _ in range(100):
+            h = random_mixed_hypergraph(rng, v_min=2, v_max=10)
+            assert default_vertex_order(h) == _closing_order_reference(h)
+        monkeypatch.undo()
+        for bi in (False, True):  # and past the real bound, on larger hypergraphs
+            v = 120
+            edges = [rng.sample(range(v), 3 if bi else rng.choice((2, 3, 4)))
+                     for _ in range(2 * v)]
+            h = (build_bi_hypergraph(v, edges) if bi
+                 else build_hypergraph(v, edges[::2], edges[1::2]))
+            assert default_vertex_order(h) == _closing_order_reference(h)
+
+    def test_edgeless_order_is_the_index_order(self):
+        assert default_vertex_order(build_hypergraph(7)) == tuple(range(7))
+
+    def test_reports_and_certificates_do_not_depend_on_it(self):
+        # every S with n1 <= 8 in the three builds: the same colorings and
+        # spectrum, and the same certificate where it succeeds
+        for spec, h in _small_constructions():
+            if isinstance(h, Exception):
+                continue
+            degree = _degree_order(h)
+            planned = enumerate_strict_colorings(h)
+            kept = enumerate_strict_colorings(h, order=degree)
+            assert (planned.colorings, planned.spectrum) == (kept.colorings, kept.spectrum)
+            cert, kept = is_one_realization(h, spec), is_one_realization(h, spec, degree)
+            assert cert.ok == kept.ok
+            if cert:
+                assert cert == kept
+
+    def test_last_vertex_is_the_degree_orders(self):
+        # the last-level parents depend only on the last vertex, so the
+        # spectrum workload's row work is the same as under the degree order
+        for v, c_edges, d_edges in _spectrum_pool()[::20]:
+            h = build_hypergraph(v, c_edges, d_edges)
+            assert default_vertex_order(h)[-1] == _degree_order(h)[-1]
+
+    def test_large_constructions_verify_quickly(self):
+        # under the degree order each of these takes hours; n1 = 64 takes milliseconds
+        nodes, start = [], time.perf_counter()
+        for spec in ([24, 2], [24, 23], [24, 16, 8, 2]):
+            h = construct(spec).hypergraph
+            assert is_one_realization(h, spec)
+            nodes.append(_walk_nodes(_Searcher(h)))
+        assert time.perf_counter() - start < 1.0
+        assert nodes == [752, 1_208, 1_295]
 
 
 class TestLaziness:
