@@ -15,13 +15,11 @@ from .construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex,
                            construct, deleted_label, min_size, reduction_bijection,
                            special_edge_labels)
 from .minimality import (DEFAULT_BUDGET, SearchReport, VERDICT_ABORTED,
-                         VERDICT_NONE, VERDICT_WITNESS, certify_lower_bound,
-                         enumerate_bi_hypergraphs)
-from .model import (ImproperColoringError, MixedHypergraph, Partition,
-                    VertexBijection, build_bi_hypergraph, build_hypergraph,
-                    check_isomorphism_under_map, induced_subhypergraph,
-                    is_proper, strict_class_count)
-from .serialization import FORMAT_VERSION, HypergraphDocument, parse, serialize
+                         VERDICT_NONE, VERDICT_WITNESS, certify_lower_bound)
+from .model import (MixedHypergraph, Partition, VertexBijection, build_bi_hypergraph,
+                    build_hypergraph, check_isomorphism_under_map, induced_subhypergraph,
+                    is_proper)
+from .serialization import FORMAT_VERSION, parse, serialize
 
 __version__ = "0.1.0"
 
@@ -33,9 +31,8 @@ __all__ = [
     "canonical_coloring", "canonical_colorings", "construct", "deleted_label",
     "min_size", "reduction_bijection", "special_edge_labels",
     "DEFAULT_BUDGET", "SearchReport", "VERDICT_ABORTED", "VERDICT_NONE",
-    "VERDICT_WITNESS", "certify_lower_bound", "enumerate_bi_hypergraphs",
-    "ImproperColoringError", "MixedHypergraph", "Partition", "VertexBijection",
-    "build_bi_hypergraph", "build_hypergraph", "check_isomorphism_under_map",
-    "induced_subhypergraph", "is_proper", "strict_class_count",
-    "FORMAT_VERSION", "HypergraphDocument", "parse", "serialize",
+    "VERDICT_WITNESS", "certify_lower_bound",
+    "MixedHypergraph", "Partition", "VertexBijection", "build_bi_hypergraph",
+    "build_hypergraph", "check_isomorphism_under_map", "induced_subhypergraph", "is_proper",
+    "FORMAT_VERSION", "parse", "serialize",
 ]

@@ -187,9 +187,9 @@ def _cmd_isocheck(args) -> int:
     try:
         mapping: dict[int, int] = {}
         for a, b in raw:
-            if int(a) in mapping:
-                raise ValueError(f"vertex {int(a)} is mapped more than once")
-            mapping[int(a)] = int(b)
+            if a in mapping:
+                raise ValueError(f"vertex {a!r} is mapped more than once")
+            mapping[a] = b
         bijection = VertexBijection.from_mapping(mapping)
         ok = check_isomorphism_under_map(h1, h2, bijection)
     except (TypeError, ValueError) as exc:

@@ -151,12 +151,6 @@ class LabeledHypergraph(_Record):
     def label_index(self) -> dict[LabeledVertex, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
-    def index_of(self, label: LabeledVertex) -> int:
-        try:
-            return self.label_index()[label]
-        except KeyError:
-            raise KeyError(f"no vertex labeled {label}") from None
-
 
 def min_size(spec: FeasibleSpec | Iterable[int]) -> int:
     """Minimum vertex count of a 3-uniform bi-hypergraph one-realization.

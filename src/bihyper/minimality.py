@@ -2,7 +2,8 @@
 
 Every 3-uniform bi-hypergraph on ``v`` vertices is a subset of the
 ``C(v,3)`` vertex triples, encoded as a bitmask over the lexicographically
-sorted triple list.
+sorted triple list.  Only ``certify_lower_bound`` is public: a mask becomes
+a hypergraph only when the table below says it may be a one-realization.
 
 Certification is bit-sliced over a table built once per ``v``: one row per
 set partition of the ``v`` vertices (the strict colorings of the edgeless
@@ -25,7 +26,7 @@ quota, so ``masks_processed`` counts that whole chunk.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -35,7 +36,6 @@ from .construction import FeasibleSpec, min_size
 from .model import MixedHypergraph, _Record
 
 DEFAULT_BUDGET = 10_000_000
-DEFAULT_VERTEX_CAP = 6
 _CHUNK = 4096
 
 VERDICT_NONE = "certified-none"
@@ -51,23 +51,6 @@ def _triples(v: int) -> tuple[tuple[int, int, int], ...]:
 def _mask_to_hypergraph(v: int, mask: int) -> MixedHypergraph:
     family = tuple(t for i, t in enumerate(_triples(v)) if mask >> i & 1)
     return MixedHypergraph(v, family, family)
-
-
-def enumerate_bi_hypergraphs(v: int,
-                             vertex_cap: int = DEFAULT_VERTEX_CAP) -> Iterator[MixedHypergraph]:
-    """Yield every 3-uniform bi-hypergraph on ``v`` vertices, by ascending edge mask.
-
-    ``v`` beyond ``vertex_cap`` is refused up front, naming the instance
-    count the caller would be signing up for.
-    """
-    if v < 3:
-        raise ValueError("need at least 3 vertices to place a 3-uniform edge")
-    if v > vertex_cap:
-        raise ValueError(
-            f"{v} vertices means 2**{comb(v, 3)} = {2 ** comb(v, 3)} instances, over the "
-            f"cap of {vertex_cap} vertices; raise vertex_cap if you mean it")
-    for mask in range(1 << comb(v, 3)):
-        yield _mask_to_hypergraph(v, mask)
 
 
 class SearchReport(_Record):
@@ -184,10 +167,11 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
     A ``v_max`` below the known optimum certifies the lower bound when the
     verdict is ``certified-none``; running at the optimum instead hunts for
     witnesses.  The budget counts masks processed; exceeding it aborts with
-    a resumable ``(v, mask)`` cursor.  A ``budget``, ``v_max``,
-    ``max_witnesses`` or ``resume`` entry that is not an ``int``, a budget
-    below 1, a ``v_max`` below 3 (an empty search range) and a ``resume``
-    cursor outside the search range raise ``ValueError``.  The search stops
+    a resumable ``(v, mask)`` cursor.  A ``budget``, ``v_max`` or
+    ``max_witnesses`` that is not an ``int``, a ``resume`` that is not a
+    tuple or list of two ``int``s, a budget below 1, a ``v_max`` below 3 (an
+    empty search range) and a ``resume`` cursor outside the search range
+    raise ``ValueError``.  The search stops
     at the end of the chunk in which ``max_witnesses`` one-realizations are
     in hand.
     """
@@ -207,7 +191,8 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
     counts = tuple(range(3, v_max + 1))
     if resume is None:
         start_v, start_mask = 3, 0
-    elif len(resume) != 2 or not set(map(type, resume)) <= {int}:
+    elif (not isinstance(resume, (tuple, list)) or len(resume) != 2
+          or not set(map(type, resume)) <= {int}):
         raise ValueError(f"resume must be a (v, mask) pair of integers, got {resume!r}")
     else:
         start_v, start_mask = resume

@@ -20,13 +20,9 @@ per class, so the import that every CLI launch pays stays cheap.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import chain, repeat
 from operator import attrgetter
-
-
-class ImproperColoringError(ValueError):
-    """An operation requiring a proper coloring received an improper one."""
 
 
 class _Record:
@@ -60,6 +56,13 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _check_ints(values: Collection, what: str) -> None:
+    """Refuse any entry that is not an ``int`` (a ``bool`` is not one)."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
 
 
 def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
@@ -132,15 +135,6 @@ class MixedHypergraph(_Record):
     def is_bi(self) -> bool:
         return self.c_edges == self.d_edges
 
-    def is_3_uniform(self) -> bool:
-        return set(map(len, self.c_edges + self.d_edges)) <= {3}
-
-    @property
-    def bi_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edges present in both families."""
-        d = set(self.d_edges)
-        return tuple(e for e in self.c_edges if e in d)
-
 
 def _normalized_hypergraph(vertex_count: int, c_edges: tuple[tuple[int, ...], ...],
                            d_edges: tuple[tuple[int, ...], ...]) -> MixedHypergraph:
@@ -186,6 +180,8 @@ def induced_subhypergraph(
     Vertices are reindexed against the sorted subset; the returned dict
     translates old indices to new ones.
     """
+    subset = tuple(subset)
+    _check_ints(subset, "subset vertex")
     keep = sorted(set(subset))
     for v in keep:
         if not (0 <= v < h.vertex_count):
@@ -237,6 +233,7 @@ class Partition(_Record):
                 if v in assignment:
                     raise ValueError(f"vertex {v} appears in two classes")
                 assignment[v] = label
+        _check_ints(assignment, "vertex")
         n = len(assignment)
         if set(assignment) != set(range(n)):
             raise ValueError("classes do not cover a dense vertex range 0..n-1")
@@ -269,16 +266,6 @@ class Partition(_Record):
         if a == b:
             raise ValueError("cannot merge a class with itself")
         return Partition(tuple(a if c == b else c for c in self.labels))
-
-    def restrict(self, subset: Iterable[int]) -> "Partition":
-        """The induced partition of ``subset``, reindexed against its sorted order."""
-        keep = sorted(set(subset))
-        if not keep:
-            raise ValueError("cannot restrict a partition to an empty subset")
-        for v in keep:
-            if not (0 <= v < self.size):
-                raise ValueError(f"subset vertex {v} out of range")
-        return Partition(tuple(self.labels[v] for v in keep))
 
     def __str__(self) -> str:
         return "{" + " | ".join(" ".join(str(v) for v in cl) for cl in self.classes()) + "}"
@@ -323,13 +310,6 @@ def is_proper(h: MixedHypergraph, partition: Partition) -> bool:
     return True
 
 
-def strict_class_count(h: MixedHypergraph, partition: Partition) -> int:
-    """Class count of a coloring that must be proper; improper input is a hard error."""
-    if not is_proper(h, partition):
-        raise ImproperColoringError(f"partition {partition} is not a proper coloring")
-    return partition.class_count
-
-
 class VertexBijection(_Record):
     """A bijection between two vertex sets of equal size; ``forward[v]`` is the image of ``v``."""
 
@@ -337,12 +317,14 @@ class VertexBijection(_Record):
 
     def __init__(self, forward: Iterable[int]) -> None:
         forward = tuple(forward)
+        _check_ints(forward, "vertex")
         if sorted(forward) != list(range(len(forward))):
             raise ValueError("forward map is not a bijection onto 0..n-1")
         object.__setattr__(self, "forward", forward)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> "VertexBijection":
+        _check_ints(mapping, "vertex")
         n = len(mapping)
         if set(mapping) != set(range(n)):
             raise ValueError("mapping domain is not a dense vertex range 0..n-1")
@@ -350,13 +332,6 @@ class VertexBijection(_Record):
 
     def __call__(self, v: int) -> int:
         return self.forward[v]
-
-    @property
-    def inverse(self) -> "VertexBijection":
-        inv = [0] * len(self.forward)
-        for v, w in enumerate(self.forward):
-            inv[w] = v
-        return VertexBijection(tuple(inv))
 
 
 def check_isomorphism_under_map(h1: MixedHypergraph, h2: MixedHypergraph,

@@ -5,8 +5,9 @@ ordered by their full label tuple (flag last), so serialization is
 deterministic and ``parse(serialize(x)) == x`` holds byte-for-byte once a
 value is normalized.  Labeled constructions embed their label tuples and
 enough metadata to rebuild the construction record; plain hypergraphs
-carry only indices.  Each list of edge or label rows is emitted by one
-encoder call, and parsing accepts a list of integer rows in one pass.
+carry only indices.  ``serialize`` writes the lines straight from the
+value, each list of rows by one encoder call, and ``parse`` accepts a list
+of integer rows in one pass; no record sits between a value and its text.
 """
 
 from __future__ import annotations
@@ -16,73 +17,32 @@ from itertools import chain
 from operator import gt, itemgetter, le
 
 from .construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
-from .model import (MixedHypergraph, _normalize_family, _normalized_hypergraph, _Record,
-                    build_hypergraph)
+from .model import MixedHypergraph, _normalize_family, _normalized_hypergraph, build_hypergraph
 
 FORMAT_VERSION = 1
 
 
-class HypergraphDocument(_Record):
-    """The on-disk shape of a hypergraph, decoupled from in-memory values."""
-
-    format_version: int
-    bi: bool
-    vertex_count: int
-    c_edges: tuple[tuple[int, ...], ...]
-    d_edges: tuple[tuple[int, ...], ...]
-    s: int | None
-    labels: tuple[tuple[int, ...], ...] | None
-    metadata: tuple[tuple[str, str], ...]
-
-    def __init__(self, format_version, bi, vertex_count, c_edges, d_edges, s=None, labels=None,
-                 metadata=()) -> None:
-        object.__setattr__(self, "format_version", format_version)
-        object.__setattr__(self, "bi", bi)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "c_edges", c_edges)
-        object.__setattr__(self, "d_edges", d_edges)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "metadata", metadata)
-
-    def to_text(self) -> str:
-        def inline(rows) -> str:
-            # Rows hold only ints, so "],[" occurs only between rows.
-            return json.dumps(rows, separators=(",", ":")).replace("],[", "], [")
-
-        lines = [
-            f'  "format_version": {self.format_version},',
-            f'  "bi": {json.dumps(self.bi)},',
-            f'  "vertex_count": {self.vertex_count},',
-        ]
-        if self.s is not None:
-            lines.append(f'  "s": {self.s},')
-        if self.labels is not None:
-            lines.append(f'  "labels": {inline(self.labels)},')
-        lines.append(f'  "c_edges": {inline(self.c_edges)},')
-        lines.append(f'  "d_edges": {inline(self.d_edges)},')
-        lines.append(f'  "metadata": {json.dumps(dict(self.metadata))}')
-        return "{\n" + "\n".join(lines) + "\n}\n"
-
-
-def _document_for(value: MixedHypergraph | LabeledHypergraph) -> HypergraphDocument:
-    if isinstance(value, LabeledHypergraph):
-        h = value.hypergraph
-        metadata = [("feasible_set", str(value.spec)), ("variant", value.variant)]
-        if value.unproven_regime:
-            metadata.append(("unproven_regime", "true"))
-        return HypergraphDocument(
-            FORMAT_VERSION, h.is_bi(), h.vertex_count, h.c_edges, h.d_edges,
-            s=value.spec.s,
-            labels=tuple(label.coords + (label.flag,) for label in value.labels),
-            metadata=tuple(metadata))
-    return HypergraphDocument(
-        FORMAT_VERSION, value.is_bi(), value.vertex_count, value.c_edges, value.d_edges)
+def _inline(rows) -> str:
+    # Rows hold only ints, so "],[" occurs only between rows.
+    return json.dumps(rows, separators=(",", ":")).replace("],[", "], [")
 
 
 def serialize(value: MixedHypergraph | LabeledHypergraph) -> str:
     """Render a hypergraph as deterministic structured text."""
-    return _document_for(value).to_text()
+    labeled = isinstance(value, LabeledHypergraph)
+    h = value.hypergraph if labeled else value
+    lines = [f'  "format_version": {FORMAT_VERSION},', f'  "bi": {json.dumps(h.is_bi())},',
+             f'  "vertex_count": {h.vertex_count},']
+    metadata = {}
+    if labeled:
+        rows = [label.coords + (label.flag,) for label in value.labels]
+        lines += [f'  "s": {value.spec.s},', f'  "labels": {_inline(rows)},']
+        metadata = {"feasible_set": str(value.spec), "variant": value.variant}
+        if value.unproven_regime:
+            metadata["unproven_regime"] = "true"
+    lines += [f'  "c_edges": {_inline(h.c_edges)},', f'  "d_edges": {_inline(h.d_edges)},',
+              f'  "metadata": {json.dumps(metadata)}']
+    return "{\n" + "\n".join(lines) + "\n}\n"
 
 
 def _take(doc: dict, key: str, types: tuple, required: bool = True):

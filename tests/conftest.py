@@ -13,7 +13,8 @@ from itertools import combinations
 
 import pytest
 
-from bihyper.model import MixedHypergraph, Partition, build_hypergraph, is_proper
+from bihyper.model import (MixedHypergraph, Partition, build_bi_hypergraph, build_hypergraph,
+                           is_proper)
 
 # Bell numbers B(0)..B(9)
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -50,6 +51,17 @@ def brute_force_colorings(h: MixedHypergraph) -> list[Partition]:
     """The strict colorings of ``h`` by filtering all partitions."""
     return sorted((p for p in all_partitions(h.vertex_count) if is_proper(h, p)),
                   key=lambda p: p.labels)
+
+
+def all_bi_hypergraphs(v: int):
+    """Every 3-uniform bi-hypergraph on ``v`` vertices, by ascending edge mask.
+
+    Bit ``i`` of a mask selects the ``i``-th triple in lexicographic order,
+    the order of the minimality scan's masks.
+    """
+    triples = [(a, b, c) for a in range(v) for b in range(a + 1, v) for c in range(b + 1, v)]
+    for mask in range(1 << len(triples)):
+        yield build_bi_hypergraph(v, [t for i, t in enumerate(triples) if mask >> i & 1])
 
 
 def random_mixed_hypergraph(rng: random.Random, v_min: int = 1,

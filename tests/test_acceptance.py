@@ -14,12 +14,12 @@ from math import comb
 from bihyper.colorings import enumerate_strict_colorings
 from bihyper.construction import (FeasibleSpec, canonical_colorings, construct,
                                   min_size, reduction_bijection)
-from bihyper.minimality import (VERDICT_NONE, VERDICT_WITNESS, certify_lower_bound,
-                                enumerate_bi_hypergraphs)
+from bihyper.minimality import VERDICT_NONE, VERDICT_WITNESS, certify_lower_bound
 from bihyper.model import build_hypergraph, check_isomorphism_under_map, is_proper
 from bihyper.serialization import parse, serialize
 
-from conftest import brute_force_colorings, random_mixed_hypergraph, stirling_row
+from conftest import (all_bi_hypergraphs, brute_force_colorings, random_mixed_hypergraph,
+                      stirling_row)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -86,7 +86,7 @@ def test_criterion_4_lower_bound_certification_and_singleton_merge():
     merges = checked = 0
     merge_ok = True
     for v in (3, 4, 5):
-        for h in enumerate_bi_hypergraphs(v):
+        for h in all_bi_hypergraphs(v):
             checked += 1
             for p in enumerate_strict_colorings(h).colorings:
                 singles = [c for c, cl in enumerate(p.classes()) if len(cl) == 1]

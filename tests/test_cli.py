@@ -245,6 +245,16 @@ class TestIsocheck:
         mapping.write_text('{"0": 0}')
         assert main(["isocheck", p1, p1, "--map", str(mapping)]) == 2
 
+    @pytest.mark.parametrize("pair", [[1, 1.7], ["1", True], [1, True], [1.0, 1]])
+    def test_non_integer_map_entry(self, tmp_path, capsys, pair):
+        # int() used to read each of these as [1, 1] and report "isomorphic"
+        path = tmp_path / "h.json"
+        path.write_text(serialize(build_hypergraph(2, [[0, 1]])))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([[0, 0], pair]))
+        assert main(["isocheck", str(path), str(path), "--map", str(mapping)]) == 2
+        assert_one_error_line(capsys, "is not an integer")
+
     @pytest.mark.parametrize("garbled", ["file1", "map"])
     def test_non_utf8_file(self, tmp_path, capsys, garbled):
         p1 = write_construction(tmp_path, [3, 2], name="a.json")

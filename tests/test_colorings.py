@@ -135,7 +135,7 @@ class TestOracleEquivalence:
                 continue
             sub, _ = induced_subhypergraph(h, subset)
             for p in iter_strict_colorings(h):
-                assert is_proper(sub, p.restrict(subset))
+                assert is_proper(sub, Partition([p.labels[v] for v in sorted(subset)]))
 
 
 class TestProperties:

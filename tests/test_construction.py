@@ -148,7 +148,7 @@ class TestConstructI:
 
     def test_is_bi_and_3_uniform(self):
         h = construct([5, 3, 2]).hypergraph
-        assert h.is_bi() and h.is_3_uniform()
+        assert h.is_bi() and set(map(len, h.c_edges)) == {3}
 
 
 class TestVariants:

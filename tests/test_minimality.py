@@ -10,31 +10,23 @@ from bihyper.colorings import (ChromaticSpectrum, OneRealizationCertificate, chr
                                enumerate_strict_colorings, is_one_realization)
 from bihyper.construction import construct
 from bihyper.minimality import (VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS, _block_passes,
-                                _partition_table, _scan_range, _sliced_table, certify_lower_bound,
-                                enumerate_bi_hypergraphs)
-from conftest import random_mixed_hypergraph, shuffled_copy
+                                _mask_to_hypergraph, _partition_table, _scan_range, _sliced_table,
+                                certify_lower_bound)
+from conftest import all_bi_hypergraphs, random_mixed_hypergraph, shuffled_copy
 
 
 class TestStream:
     def test_counts(self):
-        assert len(list(enumerate_bi_hypergraphs(3))) == 2
-        assert len(list(enumerate_bi_hypergraphs(4))) == 16
-        assert len(list(enumerate_bi_hypergraphs(5))) == 1024
+        # the test-side stream and the scan's masks list the same instances in one order
+        for v, total in ((3, 2), (4, 16), (5, 1024)):
+            stream = list(all_bi_hypergraphs(v))
+            assert len(stream) == total
+            assert stream == [_mask_to_hypergraph(v, mask) for mask in range(total)]
 
     def test_instances_are_bi_and_3_uniform(self):
-        for h in enumerate_bi_hypergraphs(4):
-            assert h.is_bi() and h.is_3_uniform() and h.vertex_count == 4
-
-    def test_too_few_vertices(self):
-        with pytest.raises(ValueError):
-            list(enumerate_bi_hypergraphs(2))
-
-    def test_cap_names_instance_count(self):
-        with pytest.raises(ValueError, match=r"2\*\*35"):
-            list(enumerate_bi_hypergraphs(7))
-        # overridable
-        gen = enumerate_bi_hypergraphs(7, vertex_cap=7)
-        assert next(gen).vertex_count == 7
+        for mask in range(16):
+            h = _mask_to_hypergraph(4, mask)
+            assert h.is_bi() and set(map(len, h.c_edges)) <= {3} and h.vertex_count == 4
 
     def test_spectrum_is_isomorphism_invariant(self, rng):
         for _ in range(10):
@@ -140,7 +132,8 @@ class TestCertify:
         with pytest.raises(ValueError, match="resume cursor"):
             certify_lower_bound([3, 2], 4, resume=cursor)
 
-    @pytest.mark.parametrize("cursor", [(3,), (3, 0, 0), (4.0, 0), (4, 1.0), (True, 0), (4, "1")])
+    @pytest.mark.parametrize("cursor", [(3,), (3, 0, 0), (4.0, 0), (4, 1.0), (True, 0), (4, "1"),
+                                        5, 4.0])
     def test_malformed_resume_cursor_is_refused(self, cursor):
         with pytest.raises(ValueError, match="resume must be a"):
             certify_lower_bound([3, 2], 4, resume=cursor)
@@ -167,7 +160,7 @@ class TestPartitionTable:
         checked = 0
         for v in (3, 4, 5):
             table = _partition_table(v)
-            for mask, h in enumerate(enumerate_bi_hypergraphs(v)):
+            for mask, h in enumerate(all_bi_hypergraphs(v)):
                 tally = ChromaticSpectrum.from_class_counts(k for bad, k in table if not mask & bad)
                 assert tally.counts == enumerate_strict_colorings(h).spectrum.counts
                 checked += 1

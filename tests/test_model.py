@@ -6,12 +6,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.model import (ImproperColoringError, MixedHypergraph, Partition,
-                           VertexBijection, build_bi_hypergraph, build_hypergraph,
-                           check_isomorphism_under_map, induced_subhypergraph,
-                           is_proper, strict_class_count)
+from bihyper.model import (MixedHypergraph, Partition, VertexBijection, build_bi_hypergraph,
+                           build_hypergraph, check_isomorphism_under_map, induced_subhypergraph,
+                           is_proper)
 
-from conftest import all_partitions
+from conftest import all_bi_hypergraphs, all_partitions
 
 
 def bi(v, edges):
@@ -23,12 +22,12 @@ class TestBuildHypergraph:
         h = build_hypergraph(3, [[0, 1, 2]], [[0, 1, 2]])
         assert h.vertex_count == 3
         assert h.c_edges == ((0, 1, 2),)
-        assert h.is_bi() and h.is_3_uniform()
-        assert h.bi_edges == ((0, 1, 2),)
+        assert h.is_bi()
+        assert set(h.c_edges) & set(h.d_edges) == {(0, 1, 2)}
 
     def test_edgeless_is_bi(self):
         h = build_hypergraph(5)
-        assert h.is_bi() and h.is_3_uniform()
+        assert h.is_bi()
 
     def test_family_dedup(self):
         h = build_hypergraph(3, [[0, 1, 2], [2, 1, 0]], [])
@@ -75,7 +74,7 @@ class TestBuildHypergraph:
     def test_general_mixed_edges(self):
         h = build_hypergraph(4, [[0, 1]], [[1, 2, 3], [0, 2]])
         assert not h.is_bi()
-        assert not h.is_3_uniform()
+        assert set(h.c_edges) & set(h.d_edges) == set()
 
     @pytest.mark.parametrize("build,message", [
         (lambda: build_hypergraph(3, [5]), "C-edge 5: an edge must be an iterable"),
@@ -200,6 +199,12 @@ class TestInducedSubhypergraph:
         with pytest.raises(ValueError, match="out of range"):
             induced_subhypergraph(bi(3, []), [0, 5])
 
+    @pytest.mark.parametrize("subset", [[True, 0, 2], [0, 1.0], ["0"], [1, True]])
+    def test_non_int_subset_vertex_is_refused(self, subset):
+        # [True, 0, 2] used to return a translation keyed by True
+        with pytest.raises(ValueError, match="is not an integer"):
+            induced_subhypergraph(bi(3, [[0, 1, 2]]), subset)
+
 
 class TestTrustedBuilders:
     """The builders skip the constructor's check; their values must be the checked ones."""
@@ -238,6 +243,11 @@ class TestPartition:
             Partition.from_classes([[0, 1], [1]])
         with pytest.raises(ValueError):
             Partition.from_classes([[0], []])
+
+    @pytest.mark.parametrize("classes", [[[0.0], [1]], [[0], [True]], [["0"]]])
+    def test_from_classes_rejects_non_int_vertices(self, classes):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Partition.from_classes(classes)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -288,13 +298,6 @@ class TestPartition:
         with pytest.raises(ValueError, match="itself"):
             p.merge_classes(1, 1)
 
-    def test_restrict(self):
-        p = Partition.from_classes([[0, 2], [1], [3]])
-        assert p.restrict([1, 2, 3]).labels == (0, 1, 2)
-        assert p.restrict([0, 2]).labels == (0, 0)
-        with pytest.raises(ValueError):
-            p.restrict([])
-
 
 class TestIsProper:
     def test_bi_edge_two_classes(self):
@@ -322,33 +325,21 @@ class TestIsProper:
     def test_bi_edge_characterization_exhaustive(self):
         # proper <=> every bi-edge meets exactly 2 classes, over every
         # 3-uniform bi-hypergraph and partition on up to 5 vertices
-        from bihyper.minimality import enumerate_bi_hypergraphs
         for v in (3, 4, 5):
             parts = all_partitions(v)
-            for h in enumerate_bi_hypergraphs(v):
+            for h in all_bi_hypergraphs(v):
                 for p in parts:
                     expected = all(len({p.labels[x] for x in e}) == 2 for e in h.c_edges)
                     assert is_proper(h, p) == expected
-
-
-class TestStrictClassCount:
-    def test_examples(self):
-        assert strict_class_count(bi(3, [[0, 1, 2]]), Partition((0, 0, 1))) == 2
-        assert strict_class_count(build_hypergraph(4), Partition((0, 1, 2, 3))) == 4
-
-    def test_improper_is_hard_error(self):
-        with pytest.raises(ImproperColoringError):
-            strict_class_count(bi(3, [[0, 1, 2]]), Partition((0, 0, 0)))
 
 
 class TestSingletonMerge:
     def test_merging_two_singletons_stays_proper(self):
         # any strict coloring of a 3-uniform bi-hypergraph with two
         # singleton classes merges into a strict coloring one class down
-        from bihyper.minimality import enumerate_bi_hypergraphs
         checked = 0
         for v in (3, 4):
-            for h in enumerate_bi_hypergraphs(v):
+            for h in all_bi_hypergraphs(v):
                 for p in all_partitions(v):
                     if not is_proper(h, p):
                         continue
@@ -376,10 +367,19 @@ class TestVertexBijection:
     def test_validation(self):
         with pytest.raises(ValueError):
             VertexBijection((0, 0, 1))
-        assert VertexBijection((2, 0, 1)).inverse.forward == (1, 2, 0)
         assert VertexBijection.from_mapping({0: 1, 1: 0}).forward == (1, 0)
         with pytest.raises(ValueError):
             VertexBijection.from_mapping({1: 0, 2: 1})
+
+    @pytest.mark.parametrize("forward", [(0.0, 1), (True, False), (1, "0")])
+    def test_non_int_entries_are_refused(self, forward):
+        with pytest.raises(ValueError, match="is not an integer"):
+            VertexBijection(forward)
+
+    @pytest.mark.parametrize("mapping", [{0: 1, True: 0}, {0: 1.0, 1: 0}, {"0": 0}])
+    def test_non_int_mapping_entries_are_refused(self, mapping):
+        with pytest.raises(ValueError, match="is not an integer"):
+            VertexBijection.from_mapping(mapping)
 
     def test_forward_is_stored_as_a_tuple(self):
         listed = VertexBijection([1, 0])
