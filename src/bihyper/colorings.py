@@ -61,7 +61,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from operator import attrgetter
 
-from .model import MixedHypergraph, Partition, _canonical_partitions, _Record
+from .model import MixedHypergraph, Partition, _canonical_partitions, _check_ints, _Record
 
 _HOLE = 255  # the last vertex's byte in a parent's labels
 _RAISED = 64  # raised vertices the planner scans per depth before it heaps them
@@ -80,6 +80,7 @@ class ChromaticSpectrum(_Record):
 
     def __init__(self, counts: Iterable[int]) -> None:
         counts = tuple(counts)
+        _check_ints(counts, "spectrum count")
         if any(c < 0 for c in counts):
             raise ValueError("spectrum counts must be nonnegative")
         while counts and counts[-1] == 0:

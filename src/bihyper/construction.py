@@ -11,7 +11,12 @@ reaching ``2*n1 - 1``, and stays a one-realization when ``n2 == n1 - 1``
 and there are at least three class counts.
 
 Labels travel as plain full tuples, flag last, from block assembly to the
-edges; the ``LabeledVertex`` records are made once, at the end.
+edges.  ``construct`` checks nothing twice that it has just built: the
+coordinate rule emits its triples already sorted, so the family is wrapped
+through the trusted ``model._normalized_hypergraph``, and the labels
+through the trusted ``_labeled_vertices``, which ``parse`` also uses once
+its own label checks have passed.  Values from outside still go through
+``build_bi_hypergraph`` and the ``LabeledVertex`` constructor.
 
 Grouping vertices by their i-th coordinate always yields a strict
 ni-coloring (the i-th canonical coloring); at desk scale the enumerator
@@ -21,13 +26,13 @@ one-realization of the target set.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable
-from itertools import combinations
-from operator import gt
+from itertools import combinations, repeat
+from operator import gt, itemgetter
 
-from .model import (MixedHypergraph, Partition, VertexBijection, _Record,
-                    build_bi_hypergraph, induced_subhypergraph, is_proper)
+from .model import (MixedHypergraph, Partition, VertexBijection, _check_ints,
+                    _normalized_hypergraph, _Record, induced_subhypergraph, is_proper)
 
 VARIANTS = ("I", "II")
 
@@ -98,6 +103,7 @@ class LabeledVertex(_Record):
 
     coords: tuple[int, ...]
     flag: int
+    __slots__ = ("coords", "flag", "__weakref__")
 
     def __init__(self, coords: Iterable[int], flag: int) -> None:
         coords = tuple(coords)
@@ -110,6 +116,10 @@ class LabeledVertex(_Record):
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "flag", flag)
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy would otherwise restore the slots by setattr, which is refused
+        return LabeledVertex, (self.coords, self.flag)
+
     @property
     def full(self) -> tuple[int, ...]:
         """The complete (s+1)-tuple with the flag last; also the sort key."""
@@ -120,6 +130,22 @@ class LabeledVertex(_Record):
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.full) + ")"
+
+
+def _labeled_vertices(fulls: list[tuple[int, ...]]) -> tuple[LabeledVertex, ...]:
+    """Wrap every full tuple (flag last) as a LabeledVertex without checking it.
+
+    Trusted path: the caller guarantees that each tuple holds ``int``
+    coordinates >= 1 followed by a flag in {0, 1}, as ``construct`` builds
+    them and as ``parse`` has checked them.  The instances are made and
+    filled by C-level ``map`` calls over the slot descriptors, with no
+    Python frame per label, as ``model._canonical_partitions`` does.
+    """
+    labels = tuple(map(object.__new__, repeat(LabeledVertex, len(fulls))))
+    deque(map(LabeledVertex.coords.__set__, labels, map(itemgetter(slice(-1)), fulls)),
+          maxlen=0)
+    deque(map(LabeledVertex.flag.__set__, labels, map(itemgetter(-1), fulls)), maxlen=0)
+    return labels
 
 
 class LabeledHypergraph(_Record):
@@ -210,6 +236,8 @@ def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int,
     ``mask &= A ^ B or ~A``.  The set bits left are exactly the valid ``c``;
     emitting them low to high keeps the ``itertools.combinations`` order.
     Labels are distinct, so some position differs and every mask ends finite.
+    Most pairs lose every candidate within a few positions, so the scan stops
+    at the first empty mask.
     """
     holders: list[dict[int, int]] = [{} for _ in fulls[0]]
     for i, full in enumerate(fulls):
@@ -222,6 +250,8 @@ def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int,
         mask = -1 << (b + 1)
         for A, B in zip(rows[a], rows[b]):
             mask &= A ^ B or ~A
+            if not mask:
+                break
         while mask:
             low = mask & -mask
             edges.append((a, b, low.bit_length() - 1))
@@ -235,6 +265,11 @@ def _variant_ii_sound(spec: FeasibleSpec) -> bool:
     # no 5-vertex bi-hypergraph one-realizes {3,2} at all).  Three or more
     # counts keep the full tail structure intact, and the deletion is safe.
     return spec.n2 == spec.n1 - 1 and spec.s >= 3
+
+
+def _unproven_regime(spec: FeasibleSpec, variant: str) -> bool:
+    """Whether a build of ``variant`` for ``spec`` lies outside its verified regime."""
+    return variant == "II" and not _variant_ii_sound(spec)
 
 
 def construct(spec: FeasibleSpec | Iterable[int], variant: str = "auto",
@@ -284,16 +319,20 @@ def construct(spec: FeasibleSpec | Iterable[int], variant: str = "auto",
         if special in edges:
             raise RuntimeError("special edge already produced by the coordinate rule")
         edges.append(special)
+        edges.sort()  # one merge pass: the rule's edges are already sorted
 
+    # The rule emits distinct increasing in-range triples in sorted order, so the
+    # family is already normalized; so are the generated labels.
+    family = tuple(edges)
     return LabeledHypergraph(
-        build_bi_hypergraph(len(fulls), edges),
-        tuple(LabeledVertex(v[:-1], v[-1]) for v in fulls), spec, variant,
-        unproven_regime=(variant == "II" and not _variant_ii_sound(spec)))
+        _normalized_hypergraph(len(fulls), family, family), _labeled_vertices(fulls), spec,
+        variant, unproven_regime=_unproven_regime(spec, variant))
 
 
 def canonical_coloring(built: LabeledHypergraph, i: int) -> Partition:
     """The strict coloring grouping vertices by their i-th coordinate (1-based)."""
     spec = built.spec
+    _check_ints((i,), "coordinate index")
     if not (1 <= i <= spec.s):
         raise ValueError(f"coordinate index {i} out of range 1..{spec.s}")
     ni = spec.values[i - 1]

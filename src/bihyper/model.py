@@ -259,6 +259,7 @@ class Partition(_Record):
 
     def merge_classes(self, a: int, b: int) -> "Partition":
         """Union classes ``a`` and ``b``; the class count drops by exactly one."""
+        _check_ints((a, b), "class label")
         k = self.class_count
         for label in (a, b):
             if not (0 <= label < k):

@@ -6,8 +6,16 @@ deterministic and ``parse(serialize(x)) == x`` holds byte-for-byte once a
 value is normalized.  Labeled constructions embed their label tuples and
 enough metadata to rebuild the construction record; plain hypergraphs
 carry only indices.  ``serialize`` writes the lines straight from the
-value, each list of rows by one encoder call, and ``parse`` accepts a list
-of integer rows in one pass; no record sits between a value and its text.
+value, each list of rows by one encoder call; a bi family is encoded once
+and written for both edge keys.  ``parse`` accepts a list of integer rows
+in one pass; no record sits between a value and its text.
+
+``parse`` trusts nothing in a document: every field is checked, and the
+``bi`` and ``unproven_regime`` fields must agree with what the families
+and ``(variant, spec)`` imply, so a document that ``serialize`` would not
+write back byte-for-byte is refused.  A bi document's family is normalized
+once and shared by both edge families, and the labels, once checked, are
+wrapped by the trusted ``construction._labeled_vertices``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ import json
 from itertools import chain
 from operator import gt, itemgetter, le
 
-from .construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
+from .construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex, _labeled_vertices,
+                           _unproven_regime)
 from .model import MixedHypergraph, _normalize_family, _normalized_hypergraph, build_hypergraph
 
 FORMAT_VERSION = 1
@@ -31,7 +40,8 @@ def serialize(value: MixedHypergraph | LabeledHypergraph) -> str:
     """Render a hypergraph as deterministic structured text."""
     labeled = isinstance(value, LabeledHypergraph)
     h = value.hypergraph if labeled else value
-    lines = [f'  "format_version": {FORMAT_VERSION},', f'  "bi": {json.dumps(h.is_bi())},',
+    bi = h.is_bi()
+    lines = [f'  "format_version": {FORMAT_VERSION},', f'  "bi": {json.dumps(bi)},',
              f'  "vertex_count": {h.vertex_count},']
     metadata = {}
     if labeled:
@@ -40,7 +50,8 @@ def serialize(value: MixedHypergraph | LabeledHypergraph) -> str:
         metadata = {"feasible_set": str(value.spec), "variant": value.variant}
         if value.unproven_regime:
             metadata["unproven_regime"] = "true"
-    lines += [f'  "c_edges": {_inline(h.c_edges)},', f'  "d_edges": {_inline(h.d_edges)},',
+    c_text = _inline(h.c_edges)
+    lines += [f'  "c_edges": {c_text},', f'  "d_edges": {c_text if bi else _inline(h.d_edges)},',
               f'  "metadata": {json.dumps(metadata)}']
     return "{\n" + "\n".join(lines) + "\n}\n"
 
@@ -109,8 +120,9 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         h = _build(vertex_count, _edge_list(doc, "c_edges"), _edge_list(doc, "d_edges"))
     except ValueError as exc:
         raise ValueError(f"edges: {exc}") from exc
-    if bi and not h.is_bi():
-        raise ValueError("bi: document claims bi but C- and D-families differ")
+    if bi != h.is_bi():
+        raise ValueError("bi: document claims bi but C- and D-families differ" if bi else
+                         "bi: document claims not bi but C- and D-families are equal")
 
     metadata = _take(doc, "metadata", (dict,), required=False) or {}
     raw_labels = _take(doc, "labels", (list,), required=False)
@@ -146,6 +158,11 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError(f"metadata: unknown variant {variant!r}")
     if spec.s != s:
         raise ValueError(f"s: {s} does not match the {spec.s} counts in metadata")
+    unproven = _unproven_regime(spec, variant)
+    claimed = str(metadata.get("unproven_regime", "")).lower() == "true"
+    if claimed != unproven:
+        raise ValueError(f"metadata: unproven_regime reads {str(claimed).lower()}, but "
+                         f"variant {variant} of {spec} is {'unproven' if unproven else 'proven'}")
     if not all(map(le, map(max, zip(*fulls)), spec.values)):
         for pos, full in enumerate(fulls):
             if any(map(gt, full, spec.values)):
@@ -162,6 +179,4 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
                    c_rows if h.is_bi() else [[new_of_old[v] for v in e] for e in h.d_edges])
         fulls = [fulls[old] for old in rank]
 
-    return LabeledHypergraph(
-        h, tuple(LabeledVertex(full[:-1], full[-1]) for full in fulls), spec, variant,
-        unproven_regime=str(metadata.get("unproven_regime", "")).lower() == "true")
+    return LabeledHypergraph(h, _labeled_vertices(fulls), spec, variant, unproven)

@@ -139,6 +139,19 @@ class TestVerify:
         assert main(["verify", str(path), "--set", "3,2"]) == 2
         assert "an edge must be a list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("bi", False, "claims not bi but C- and D-families are equal"),
+        ("metadata", {"feasible_set": "4,2", "variant": "II"}, "unproven_regime reads false"),
+    ])
+    def test_document_field_disagreeing_with_its_content(self, tmp_path, capsys, field, value,
+                                                         message):
+        doc = json.loads(serialize(construct([4, 2], "II")))
+        doc[field] = value
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--set", "4,2"]) == 2
+        assert_one_error_line(capsys, message)
+
     def test_non_utf8_file(self, tmp_path, capsys):
         # an unreadable file is an input error (2), not a refuted claim (1)
         path = write_garbage(tmp_path)

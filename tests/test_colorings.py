@@ -51,6 +51,11 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             ChromaticSpectrum((1, -1))
 
+    @pytest.mark.parametrize("counts", [(1.5,), (True,), (0, 2.0), ("1",)])
+    def test_non_int_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="spectrum count .* is not an integer"):
+            ChromaticSpectrum(counts)
+
 
 class TestSmallExamples:
     def test_edgeless_three_vertices(self):

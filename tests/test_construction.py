@@ -7,15 +7,18 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihyper.colorings import (chromatic_spectrum, enumerate_strict_colorings,
                                is_one_realization)
 from bihyper.construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex,
-                                  canonical_coloring, canonical_colorings, construct,
-                                  deleted_label, min_size, reduction_bijection,
-                                  special_edge_labels)
+                                  _coordinate_rule_edges, canonical_coloring,
+                                  canonical_colorings, construct, deleted_label, min_size,
+                                  reduction_bijection, special_edge_labels)
 from bihyper.minimality import certify_lower_bound
-from bihyper.model import check_isomorphism_under_map, induced_subhypergraph, is_proper
+from bihyper.model import (build_bi_hypergraph, check_isomorphism_under_map,
+                           induced_subhypergraph, is_proper)
+from bihyper.serialization import parse, serialize
 
 
 def all_specs(n1_max: int, sizes=(2, 3, 4)) -> list[FeasibleSpec]:
@@ -250,6 +253,12 @@ class TestCanonicalColorings:
         with pytest.raises(ValueError, match="out of range"):
             canonical_coloring(construct([4, 2]), 3)
 
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_non_int_index_is_refused(self, index):
+        # True read as coordinate 1; 1.0 and "1" raised TypeError
+        with pytest.raises(ValueError, match="coordinate index .* is not an integer"):
+            canonical_coloring(construct([4, 2]), index)
+
     def test_invariant_checks_survive_optimized_mode(self):
         # under python -O an assert is gone; the invariant checks must still raise
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -375,3 +384,42 @@ class TestLabeledVertex:
 
     def test_drop_first(self):
         assert LabeledVertex((3, 3, 2), 1).drop_first() == LabeledVertex((3, 2), 1)
+
+
+class TestTrustedPaths:
+    """``construct`` and ``parse`` wrap the edges and labels they built or checked
+    without checking them again; the values must equal what the checking
+    constructors make of them."""
+
+    @staticmethod
+    def _assert_as_if_checked(built):
+        h = built.hypergraph
+        assert h == build_bi_hypergraph(h.vertex_count, h.c_edges)
+        assert built.labels == tuple(LabeledVertex(l.coords, l.flag) for l in built.labels)
+
+    def test_auto_builds_up_to_n1_12(self):
+        specs = all_specs(12, sizes=range(2, 12))
+        assert len(specs) == 2036
+        for spec in specs:
+            built = construct(spec)
+            self._assert_as_if_checked(built)
+            self._assert_as_if_checked(parse(serialize(built)))
+
+    def test_forced_variants_up_to_n1_8(self):
+        for spec in all_specs(8, sizes=range(2, 8)):
+            for variant, drop in (("I", False), ("II", False), ("auto", True)):
+                built = construct(spec, variant, drop_special=drop)
+                self._assert_as_if_checked(built)
+                self._assert_as_if_checked(parse(serialize(built)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda width: st.lists(
+        st.tuples(*[st.integers(1, 4)] * width), min_size=1, max_size=16, unique=True)))
+    def test_coordinate_rule_matches_a_brute_force_scan(self, fulls):
+        # any distinct labels, not only constructions: the per-pair scan, which stops
+        # at the first empty mask, must emit exactly the two-values-per-position
+        # triples, in combinations order
+        expected = [(a, b, c) for a, b, c in combinations(range(len(fulls)), 3)
+                    if all(len({x, y, z}) == 2
+                           for x, y, z in zip(fulls[a], fulls[b], fulls[c]))]
+        assert _coordinate_rule_edges(fulls) == expected

@@ -298,6 +298,12 @@ class TestPartition:
         with pytest.raises(ValueError, match="itself"):
             p.merge_classes(1, 1)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 0), (0, True), ("1", 0)])
+    def test_merge_rejects_non_int_labels(self, a, b):
+        # 1.0 == 1 passed the range check and merged class 1 into class 0
+        with pytest.raises(ValueError, match="is not an integer"):
+            Partition((0, 1, 1)).merge_classes(a, b)
+
 
 class TestIsProper:
     def test_bi_edge_two_classes(self):

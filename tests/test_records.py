@@ -16,7 +16,8 @@ import pytest
 import bihyper
 from bihyper import (ChromaticSpectrum, EnumerationReport, FeasibleSpec, LabeledHypergraph,
                      LabeledVertex, MixedHypergraph, OneRealizationCertificate, Partition,
-                     ReductionMap, SearchReport, VertexBijection, minimality, model, serialization)
+                     ReductionMap, SearchReport, VertexBijection, construct, minimality, model,
+                     serialization)
 
 
 def _edge():
@@ -161,6 +162,24 @@ def test_partition_is_a_slotted_value():
              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in twins + [copy.copy(p), copy.deepcopy(p)]:
         assert twin == fresh and hash(twin) == hash(fresh)
+
+
+def test_labeled_vertex_is_a_slotted_value():
+    # LabeledVertex keeps its fields in slots, and construct and parse fill them
+    # past the constructor; both kinds must behave as the checked value does
+    built = construct([3, 2]).labels[1]
+    fresh = LabeledVertex((1, 1), 1)
+    for v in (built, fresh):
+        assert weakref.ref(v)() is v
+        for write in (lambda: setattr(v, "flag", 0), lambda: setattr(v, "other", 1),
+                      lambda: delattr(v, "coords")):
+            with pytest.raises(AttributeError):
+                write()
+        assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+        twins = [pickle.loads(pickle.dumps(v, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(v), copy.deepcopy(v)]:
+            assert type(twin) is LabeledVertex and twin == fresh and hash(twin) == hash(fresh)
 
 
 def test_positional_construction_and_defaults():

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.construction import construct
+from bihyper import model, serialization
+from bihyper.construction import LabeledVertex, construct
 from bihyper.model import build_bi_hypergraph, build_hypergraph
 from bihyper.serialization import FORMAT_VERSION, parse, serialize
 
@@ -111,6 +112,32 @@ class TestParseErrors:
         doc = json.loads(serialize(build_hypergraph(3, [[0, 1, 2]], [])))
         doc["bi"] = True
         with pytest.raises(ValueError, match="families differ"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [build_bi_hypergraph(3, [[0, 1, 2]]), build_hypergraph(4),
+                                       construct([4, 2])])
+    def test_not_bi_claim_with_equal_families(self, value):
+        # accepted before, and written back with "bi": true, so the bytes did not round-trip
+        doc = json.loads(serialize(value))
+        doc["bi"] = False
+        with pytest.raises(ValueError, match="^bi: document claims not bi but C- and D-families "
+                                             "are equal$"):
+            parse(json.dumps(doc))
+
+    def test_unproven_flag_missing(self):
+        # variant II of {4,2} is refuted; without the flag it parsed as proven
+        doc = json.loads(serialize(construct([4, 2], "II")))
+        assert doc["metadata"].pop("unproven_regime") == "true"
+        with pytest.raises(ValueError, match="^metadata: unproven_regime reads false, but "
+                                             "variant II of 4,2 is unproven$"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("values, variant", [([5, 4, 2], "auto"), ([4, 2], "I")])
+    def test_unproven_flag_on_a_proven_build(self, values, variant):
+        doc = json.loads(serialize(construct(values, variant)))
+        doc["metadata"]["unproven_regime"] = "true"
+        with pytest.raises(ValueError, match="^metadata: unproven_regime reads true, but "
+                                             "variant I+ of .* is proven$"):
             parse(json.dumps(doc))
 
     def test_duplicate_labels(self):
@@ -410,3 +437,55 @@ class TestBulkLabelCheck:
             _mutate_label_rows(data, doc)
         mutated = json.dumps(doc)
         assert self._outcome(parse, mutated) == self._outcome(_reference_parse, mutated)
+
+
+class TestWorkDoneOnce:
+    """Guards against checking or encoding again what the program has just built."""
+
+    @staticmethod
+    def _counter(monkeypatch, owners, name):
+        calls = []
+        for owner in owners:
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def _normalize_calls(self, monkeypatch):
+        return self._counter(monkeypatch, (model, serialization), "_normalize_family")
+
+    def test_construct_does_not_normalize_its_family(self, monkeypatch):
+        calls = self._normalize_calls(monkeypatch)
+        for values in ([4, 2], [5, 4, 3, 2], [12, 7, 3]):
+            construct(values)
+        assert calls == []
+
+    def test_parse_normalizes_a_bi_family_once(self, monkeypatch):
+        texts = [serialize(construct([6, 5, 3])), serialize(build_bi_hypergraph(4, [[0, 1, 2]]))]
+        calls = self._normalize_calls(monkeypatch)
+        for text in texts:
+            calls.clear()
+            parse(text)
+            assert len(calls) == 1
+
+    def test_serialize_encodes_a_bi_family_once(self, monkeypatch):
+        calls = self._counter(monkeypatch, (serialization,), "_inline")
+        serialize(build_bi_hypergraph(4, [[0, 1, 2], [1, 2, 3]]))
+        assert len(calls) == 1
+        calls.clear()
+        serialize(construct([5, 3, 2]))  # the labels, then the one family
+        assert len(calls) == 2
+
+    def test_label_checks_do_not_grow_with_the_build(self, monkeypatch):
+        # only the special-edge and deleted-vertex helpers build labels through the
+        # checking constructor; the 8 and 48 generated labels are wrapped as they are
+        calls = self._counter(monkeypatch, (LabeledVertex,), "__init__")
+        construct([4, 2])
+        small = len(calls)
+        calls.clear()
+        construct([24, 2])
+        assert len(calls) == small
