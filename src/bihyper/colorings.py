@@ -27,8 +27,10 @@ the most edges that hold a placed vertex, then has the highest degree, the
 lowest index on ties.  The last depth is reserved for the vertex of least
 degree, the highest index on ties, which is the vertex a descending-degree
 order puts last; the last-level parents depend only on that vertex.  The
-searcher plans this order in the pass that fills the closing lists, and
-each placement updates only its own edges.
+searcher plans this order in the pass that fills the closing lists: each
+placement updates only its own edges' ranks, and each depth takes one
+C-level ``min`` over the unplaced vertices' ranks, so planning is quadratic
+in n, which stays in milliseconds at the sizes the constructions reach.
 
 The search's labels are restricted-growth in search order, not in index
 order, so a k-coloring's labels are ``0..k-1``.  There is one walk: it stops
@@ -64,7 +66,6 @@ from operator import attrgetter
 from .model import MixedHypergraph, Partition, _canonical_partitions, _check_ints, _Record
 
 _HOLE = 255  # the last vertex's byte in a parent's labels
-_RAISED = 64  # raised vertices the planner scans per depth before it heaps them
 
 
 class ChromaticSpectrum(_Record):
@@ -105,6 +106,7 @@ class ChromaticSpectrum(_Record):
         return tuple(k for k, c in enumerate(self.counts, start=1) if c > 0)
 
     def r(self, k: int) -> int:
+        _check_ints((k,), "class count")
         return self.counts[k - 1] if 1 <= k <= len(self.counts) else 0
 
 
@@ -166,18 +168,14 @@ class _Searcher:
         close = top * touch
         rank = [v - d * n for v, d in enumerate(degree)]
         placed = [False] * n
-        raised: set[int] = set()  # the vertices raised since they were last heaped
         planning = order is None
         if planning:
             # the degree order's last vertex (least degree, highest index) stays
-            # last, so the last-level parents are the ones that order has
+            # last, so the last-level parents are the ones that order has; each
+            # other depth takes the least rank over the rest, one C-level ``min``
+            # per depth, so planning is quadratic in n
             last = max(range(n), key=rank.__getitem__, default=-1)
-            # a vertex that touches a placed vertex outranks every vertex that
-            # does not, whose rank is still its degree's: the first come from
-            # ``raised`` and from a lazy heap, whose entries are valid while they
-            # equal their vertex's rank, the others from the degree order
-            untouched = iter(sorted(range(n), key=rank.__getitem__))
-            heap: list[int] = []  # filled, and heapq imported, only past _RAISED
+            unplaced = set(range(n)) - {last}
             order = []
         # closing[d]: the edges whose last vertex sits at depth d, as the pair of
         # other vertices if bi_3_uniform, else as (others, is_c, is_d)
@@ -185,23 +183,9 @@ class _Searcher:
         for depth in range(n):
             if not planning:
                 v = order[depth]
-            elif depth == n - 1:
-                v = last
-                order.append(v)
-            else:
-                while heap and rank[heap[0] % n] != heap[0]:
-                    heappop(heap)
-                if heap or raised:
-                    best = heap[0] if heap else n
-                    if raised:
-                        best = min(best, min(map(rank.__getitem__, raised)))
-                    v = best % n
-                    raised.discard(v)
-                else:
-                    v = next(untouched)
-                    while placed[v] or v == last:
-                        v = next(untouched)
-                rank[v] = n  # placed: no entry of v is valid any more
+            else:  # the rest is empty only at the last depth
+                v = min(map(rank.__getitem__, unplaced)) % n if unplaced else last
+                unplaced.discard(v)
                 order.append(v)
             placed[v] = True
             closes = []
@@ -215,15 +199,11 @@ class _Searcher:
                             closes.append(pair)
                         else:
                             rank[b] -= close
-                            raised.add(b)
                     elif placed[b]:
                         rank[a] -= close
-                        raised.add(a)
                     else:
                         rank[a] -= touch
                         rank[b] -= touch
-                        raised.add(a)
-                        raised.add(b)
             else:
                 for e in link[v]:
                     free = []
@@ -238,20 +218,9 @@ class _Searcher:
                         (u,) = free
                         # in a 2-vertex edge v is also the first placed
                         rank[u] -= close + touch if len(e) == 2 else close
-                        raised.add(u)
                     elif len(free) == len(e) - 1:
                         for u in free:
                             rank[u] -= touch
-                        raised.update(free)
-            if planning:
-                raised.discard(last)
-                if len(raised) > _RAISED:
-                    # imported here, ``import bihyper`` and small searches never
-                    # load heapq; the heap is empty until this first runs
-                    from heapq import heappop, heappush
-                    for u in raised:
-                        heappush(heap, rank[u])
-                    raised.clear()
             closing.append(closes)
         self.closing = closing
         self.order = tuple(order)

@@ -12,10 +12,15 @@ in one pass; no record sits between a value and its text.
 
 ``parse`` trusts nothing in a document: every field is checked, and the
 ``bi`` and ``unproven_regime`` fields must agree with what the families
-and ``(variant, spec)`` imply, so a document that ``serialize`` would not
-write back byte-for-byte is refused.  A bi document's family is normalized
-once and shared by both edge families, and the labels, once checked, are
-wrapped by the trusted ``construction._labeled_vertices``.
+and ``(variant, spec)`` imply.  The metadata must hold exactly what
+``serialize`` writes: nothing for a plain document; for a labeled one the
+strings ``feasible_set`` (as ``str(spec)`` writes it), ``variant`` and,
+only when it reads ``"true"``, ``unproven_regime``.  What ``parse``
+normalizes by design is order: edges, the vertices within an edge, and
+label rows may come unsorted, and are written back sorted.  A bi
+document's family is normalized once and shared by both edge families,
+and the labels, once checked, are wrapped by the trusted
+``construction._labeled_vertices``.
 """
 
 from __future__ import annotations
@@ -127,6 +132,9 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     metadata = _take(doc, "metadata", (dict,), required=False) or {}
     raw_labels = _take(doc, "labels", (list,), required=False)
     if raw_labels is None:
+        if metadata:
+            raise ValueError(f"metadata: a document without labels has none, "
+                             f"got {sorted(metadata)}")
         return h
 
     s = _take(doc, "s", (int,))
@@ -149,17 +157,31 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     if len(set(fulls)) != len(fulls):
         raise ValueError("labels: duplicate labels")
 
+    for key, value in metadata.items():
+        if key not in ("feasible_set", "variant", "unproven_regime"):
+            raise ValueError(f"metadata: unknown key {key!r}")
+        if type(value) is not str:
+            raise ValueError(f"metadata: {key} must be a string, got {type(value).__name__}")
+    for key in ("feasible_set", "variant"):
+        if key not in metadata:
+            raise ValueError(f"metadata: labeled documents need {key}")
+    written = metadata["feasible_set"]
     try:
-        spec = FeasibleSpec.from_string(str(metadata["feasible_set"]))
-        variant = str(metadata["variant"])
-    except KeyError as exc:
-        raise ValueError(f"metadata: labeled documents need {exc.args[0]}") from exc
+        spec = FeasibleSpec.from_string(written)
+    except ValueError as exc:
+        raise ValueError(f"metadata: {exc}") from exc
+    if written != str(spec):
+        raise ValueError(f"metadata: feasible_set {written!r} is written {str(spec)!r}")
+    variant = metadata["variant"]
     if variant not in ("I", "II"):
         raise ValueError(f"metadata: unknown variant {variant!r}")
     if spec.s != s:
         raise ValueError(f"s: {s} does not match the {spec.s} counts in metadata")
+    flag = metadata.get("unproven_regime", "true")
+    if flag != "true":
+        raise ValueError(f'metadata: unproven_regime is written only as "true", got {flag!r}')
     unproven = _unproven_regime(spec, variant)
-    claimed = str(metadata.get("unproven_regime", "")).lower() == "true"
+    claimed = "unproven_regime" in metadata
     if claimed != unproven:
         raise ValueError(f"metadata: unproven_regime reads {str(claimed).lower()}, but "
                          f"variant {variant} of {spec} is {'unproven' if unproven else 'proven'}")

@@ -152,6 +152,20 @@ class TestVerify:
         assert main(["verify", str(path), "--set", "4,2"]) == 2
         assert_one_error_line(capsys, message)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("unproven_regime", "false", 'unproven_regime is written only as "true"'),
+        ("note", 1, "unknown key 'note'"),
+        ("feasible_set", "2, 4", "feasible_set '2, 4' is written '4,2'"),
+    ])
+    def test_metadata_that_would_not_round_trip_is_a_usage_error(self, tmp_path, capsys, key,
+                                                                  value, message):
+        doc = json.loads(serialize(construct([4, 2])))
+        doc["metadata"][key] = value
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--set", "4,2"]) == 2
+        assert_one_error_line(capsys, message)
+
     def test_non_utf8_file(self, tmp_path, capsys):
         # an unreadable file is an input error (2), not a refuted claim (1)
         path = write_garbage(tmp_path)

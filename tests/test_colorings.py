@@ -56,6 +56,11 @@ class TestSpectrumType:
         with pytest.raises(ValueError, match="spectrum count .* is not an integer"):
             ChromaticSpectrum(counts)
 
+    @pytest.mark.parametrize("k", [True, 1.5, "2"])
+    def test_non_int_class_count_rejected(self, k):
+        with pytest.raises(ValueError, match="class count .* is not an integer"):
+            ChromaticSpectrum((1, 2)).r(k)
+
 
 class TestSmallExamples:
     def test_edgeless_three_vertices(self):
@@ -631,21 +636,34 @@ class TestEdgeClosingOrder:
             h = construct(spec).hypergraph
             assert default_vertex_order(h) == _closing_order_reference(h)
 
-    def test_matches_the_rule_through_the_heap(self, rng, monkeypatch):
-        # the planner heaps its raised vertices once there are more than
-        # _RAISED; with 1 that happens at almost every depth
-        monkeypatch.setattr("bihyper.colorings._RAISED", 1)
+    def test_matches_the_rule_on_larger_hypergraphs(self, rng):
         for _ in range(100):
             h = random_mixed_hypergraph(rng, v_min=2, v_max=10)
             assert default_vertex_order(h) == _closing_order_reference(h)
-        monkeypatch.undo()
-        for bi in (False, True):  # and past the real bound, on larger hypergraphs
+        for bi in (False, True):
             v = 120
             edges = [rng.sample(range(v), 3 if bi else rng.choice((2, 3, 4)))
                      for _ in range(2 * v)]
             h = (build_bi_hypergraph(v, edges) if bi
                  else build_hypergraph(v, edges[::2], edges[1::2]))
             assert default_vertex_order(h) == _closing_order_reference(h)
+
+    def test_matches_the_rule_on_hubs_and_long_paths(self):
+        # a hub raises every other vertex at once; a path raises one per depth
+        for h in (build_hypergraph(301, (), [(0, i) for i in range(1, 301)]),
+                  build_hypergraph(300, [(i, i + 1) for i in range(299)], ()),
+                  construct([40, 39]).hypergraph):
+            assert default_vertex_order(h) == _closing_order_reference(h)
+
+    def test_planning_stays_fast_at_scale(self):
+        # one argmin per depth makes planning quadratic in n; a loose bound
+        # that a cubic planner would break on these
+        for h in (build_hypergraph(1_200, [(i, i + 1) for i in range(1_199)], ()),
+                  build_hypergraph(2_000, [(0, i) for i in range(1, 2_000)], ()),
+                  construct([64, 2]).hypergraph):
+            start = time.perf_counter()
+            _Searcher(h)
+            assert time.perf_counter() - start < 1.0
 
     def test_edgeless_order_is_the_index_order(self):
         assert default_vertex_order(build_hypergraph(7)) == tuple(range(7))

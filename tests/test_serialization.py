@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -188,6 +189,29 @@ class TestParseErrors:
         doc = json.loads(serialize(construct([4, 2])))
         del doc["metadata"]["feasible_set"]
         with pytest.raises(ValueError, match="feasible_set"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("variant, key, value, message", [
+        # each parsed before, and serialize dropped or rewrote the value
+        ("I", "unproven_regime", "false", 'unproven_regime is written only as "true", '
+                                          "got 'false'"),
+        ("I", "note", 1, "unknown key 'note'"),
+        ("I", "feasible_set", "2, 4", "feasible_set '2, 4' is written '4,2'"),
+        ("II", "unproven_regime", True, "unproven_regime must be a string, got bool"),
+        ("I", "variant", 1, "variant must be a string, got int"),
+        ("I", "feasible_set", "4,x", "cannot parse feasible set '4,x'"),
+    ])
+    def test_metadata_that_would_not_round_trip(self, variant, key, value, message):
+        doc = json.loads(serialize(construct([4, 2], variant)))
+        doc["metadata"][key] = value
+        with pytest.raises(ValueError, match="^metadata: " + re.escape(message)):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("metadata", [{"note": 1}, {"feasible_set": "3,2", "variant": "I"}])
+    def test_plain_document_has_no_metadata(self, metadata):
+        doc = json.loads(serialize(build_bi_hypergraph(3, [[0, 1, 2]])))
+        doc["metadata"] = metadata
+        with pytest.raises(ValueError, match=r"^metadata: a document without labels has none"):
             parse(json.dumps(doc))
 
 
