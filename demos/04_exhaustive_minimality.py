@@ -6,6 +6,11 @@ For the target {3,2} the search space is tiny: 2 instances on 3 vertices,
 vertices one-realizes {3,2}, so the verified 6-vertex construction is
 optimal -- one vertex above the closed-form size formula, whose value 5 is
 unattainable for this target.
+
+For {4,2} the range below the bound 8 reaches v=7, with 2^35 masks.  Two
+bounds settle what no scan could: below 4 vertices no coloring has 4
+classes, and at v=7 every 4-coloring's class profile refutes the target by
+the profile rules.  Only v=4..6 are scanned.
 """
 
 from bihyper import (certify_lower_bound, chromatic_spectrum, construct, is_one_realization,
@@ -27,6 +32,12 @@ def main():
     cert = is_one_realization(built.hypergraph, target)
     print(f"  verified optimum: variant {built.variant} on {built.vertex_count} vertices, "
           f"one-realization: {cert.ok}\n")
+
+    report = certify_lower_bound([4, 2])
+    print(f"Below the bound {min_size([4, 2])} for {{4,2}}: {report.verdict}")
+    for v in report.vertex_counts_searched:
+        print(f"  v={v}: {report.instances_examined[v]} instances by {report.settled_by[v]}")
+    print()
 
     print("Why the one-vertex-smaller deletion variant fails for two-count targets:")
     smaller = construct(target, "II")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .colorings import enumerate_strict_colorings, is_one_realization
 from .construction import FeasibleSpec, LabeledHypergraph, construct, min_size
-from .minimality import (DEFAULT_BUDGET, VERDICT_ABORTED, VERDICT_WITNESS,
+from .minimality import (DEFAULT_BUDGET, METHOD_SCAN, VERDICT_ABORTED, VERDICT_WITNESS,
                          certify_lower_bound)
 from .model import MixedHypergraph, Partition, VertexBijection, check_isomorphism_under_map
 from .serialization import parse, serialize
@@ -159,7 +159,9 @@ def _cmd_min_search(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     for v in report.vertex_counts_searched:
-        print(f"v={v}: examined {report.instances_examined[v]} instances")
+        method = report.settled_by.get(v, METHOD_SCAN)
+        by = "" if method == METHOD_SCAN else f" ({method})"
+        print(f"v={v}: examined {report.instances_examined[v]} instances{by}")
     print(f"verdict: {report.verdict} (bound for {{{spec}}} is {bound})")
     if report.verdict == VERDICT_ABORTED:
         v, mask = report.cursor
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=None)
     p.add_argument("--resume", metavar="V:MASK")
     p.add_argument("--budget", type=int, default=None,
-                   help=f"masks processed per run (default {DEFAULT_BUDGET} or ${BUDGET_ENV})")
+                   help=f"masks scanned per run (default {DEFAULT_BUDGET} or ${BUDGET_ENV})")
     p.add_argument("--max-witnesses", type=int, default=1)
     p.set_defaults(func=_cmd_min_search)
 

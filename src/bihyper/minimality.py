@@ -5,6 +5,26 @@ Every 3-uniform bi-hypergraph on ``v`` vertices is a subset of the
 sorted triple list.  Only ``certify_lower_bound`` is public: a mask becomes
 a hypergraph only when the table below says it may be a one-realization.
 
+Two bounds settle every mask of a vertex count ``v`` at once, for ``S``
+with largest count ``n1``.  The class count (any ``v``): below ``n1``
+vertices no partition has ``n1`` classes.  The profile rules (``7 <= v <=
+2*n1 - 1``) rest on a lemma: if ``M`` one-realizes ``S`` with
+``n1``-coloring ``p``, every edge of ``M`` lies in ``A(p)``, the triples
+``p`` 2-colours (two vertices of one class, one of another), so every
+strict coloring of ``A(p)`` is one of ``M``; two with one count, or one
+with a count outside ``S``, refute ``S``.  For ``v <= 2*n1 - 1`` the
+profile of ``p`` (its class sizes, non-increasing) has ``s >= 1``
+singletons, and no triple of ``A(p)`` holds two.  R1 (``s >= 3``): merging
+the first singleton with the second, or with the third, gives two
+``(n1-1)``-colorings.  R2 (``s`` is 1 or 2, every other class a pair): two
+2-colorings split every pair and place the last singleton differently.  R3
+(profile ``(3, 2, ..., 2, 1, 1)``): merging the singletons gives an
+``(n1-1)``-coloring, which refutes ``S`` exactly when ``n1 - 1`` is not in
+``S``.  These cover every profile.  The rules' colorings are built and
+checked proper on ``A(p)`` once per ``(n1, v)``; a profile that matches no
+rule or fails its check raises, and never certifies.
+
+Every other ``v``, and every ``v <= 6``, is scanned mask by mask.
 Certification is bit-sliced over a table built once per ``v``: one row per
 set partition of the ``v`` vertices (the strict colorings of the edgeless
 hypergraph, from the search kernel itself), holding its class count and a
@@ -18,10 +38,12 @@ instances with no out-of-target coloring and one coloring per target count.
 Each of those is rebuilt as a hypergraph and certified again by
 ``is_one_realization``; only that enumerator's certificate is ever reported.
 
-Runs are budgeted by masks processed and resumable from a ``(v, mask)``
-cursor.  The scan is serial, in chunks of ``2**12`` masks counted from the
-start cursor; a witness hunt stops at the end of the chunk that reaches its
-quota, so ``masks_processed`` counts that whole chunk.
+A bound-settled ``v`` is counted in ``instances_examined`` and
+``masks_processed`` as a scan of it would be, but only scanned masks count
+against the budget.  Runs are resumable from a ``(v, mask)`` cursor.  The
+scan is serial, in chunks of ``2**12`` masks counted from the start cursor;
+a witness hunt stops at the end of the chunk that reaches its quota, so
+``masks_processed`` counts that whole chunk.
 """
 
 from __future__ import annotations
@@ -33,7 +55,7 @@ from math import comb
 
 from .colorings import OneRealizationCertificate, is_one_realization, iter_strict_colorings
 from .construction import FeasibleSpec, min_size
-from .model import MixedHypergraph, _Record
+from .model import MixedHypergraph, Partition, _Record
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4096
@@ -41,6 +63,10 @@ _CHUNK = 4096
 VERDICT_NONE = "certified-none"
 VERDICT_WITNESS = "witness-found"
 VERDICT_ABORTED = "aborted-budget"
+
+METHOD_SCAN = "mask-scan"
+METHOD_CLASS_COUNT = "class-count"
+METHOD_PROFILE_RULES = "profile-rules"
 
 
 @cache
@@ -54,7 +80,11 @@ def _mask_to_hypergraph(v: int, mask: int) -> MixedHypergraph:
 
 
 class SearchReport(_Record):
-    """Outcome of a lower-bound certification or witness hunt; mutable, so unhashable."""
+    """Outcome of a lower-bound certification or witness hunt; mutable, so unhashable.
+
+    ``settled_by`` maps each vertex count the run reached to how it was
+    covered: ``"mask-scan"``, ``"class-count"`` or ``"profile-rules"``.
+    """
 
     spec: FeasibleSpec
     vertex_counts_searched: tuple[int, ...]
@@ -63,13 +93,14 @@ class SearchReport(_Record):
     verdict: str
     masks_processed: int
     cursor: tuple[int, int] | None
+    settled_by: dict[int, str]
 
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, spec, vertex_counts_searched, instances_examined, witnesses, verdict,
-                 masks_processed, cursor=None) -> None:
+                 masks_processed, cursor=None, settled_by=None) -> None:
         self.spec = spec
         self.vertex_counts_searched = vertex_counts_searched
         self.instances_examined = instances_examined
@@ -77,6 +108,7 @@ class SearchReport(_Record):
         self.verdict = verdict
         self.masks_processed = masks_processed
         self.cursor = cursor
+        self.settled_by = {} if settled_by is None else settled_by
 
 
 @cache
@@ -120,8 +152,6 @@ def _sliced_table(v: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
 def _block_passes(v: int, high: int, values: tuple[int, ...]) -> int:
     """Bitset of the offsets in block ``high`` that the table says one-realize ``values``."""
-    if max(values) > v:
-        return 0  # no partition of v vertices has that many classes
     once, twice, fail = dict.fromkeys(values, 0), dict.fromkeys(values, 0), 0
     for blocked_high, indicator, k in _sliced_table(v)[1]:
         if high & blocked_high:
@@ -158,6 +188,71 @@ def _scan_range(v: int, start: int, stop: int, values: tuple[int, ...]
     return witnesses
 
 
+def _profiles(v: int, parts: int, largest: int):
+    """The partitions of the integer ``v`` into ``parts`` non-increasing parts <= ``largest``."""
+    if parts == 0:
+        if v == 0:
+            yield ()
+        return
+    for first in range(min(largest, v - parts + 1), 0, -1):
+        for rest in _profiles(v - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _two_coloured(triples: list[tuple[int, int, int]], labels: list[int]) -> bool:
+    """Whether ``labels`` gives every triple exactly two classes: a proper bi-edge coloring."""
+    return all(len({labels[x], labels[y], labels[z]}) == 2 for x, y, z in triples)
+
+
+def _merged(labels: list[int], a: int, b: int) -> list[int]:
+    return labels[:b] + [labels[a]] + labels[b + 1:]
+
+
+@cache
+def _profile_rules(n1: int, v: int) -> int | None:
+    """Refute by R1-R3 every profile of an ``n1``-coloring of ``v <= 2*n1 - 1`` vertices.
+
+    Returns ``n1 - 1`` when the R3 profile occurs, so the refutation holds
+    only for target sets without ``n1 - 1``, else ``None``.  Raises
+    ``AssertionError`` when a profile matches no rule or a rule's colorings
+    are not distinct, proper on ``A(p)`` and of the rule's class count.
+    """
+    lacking = None
+    for profile in _profiles(v, n1, v):
+        labels = [c for c, size in enumerate(profile) for _ in range(size)]
+        s = profile.count(1)
+        u = v - s  # the first singleton
+        if s >= 3:  # R1
+            colorings, k = [_merged(labels, u, u + 1), _merged(labels, u, u + 2)], n1 - 1
+        elif s in (1, 2) and set(profile[:-s]) == {2}:  # R2
+            split = [x % 2 for x in range(u)] + [0] * s
+            colorings, k = [split, split[:-1] + [1]], 2
+        elif s == 2 and profile[0] == 3 and set(profile[1:-2]) <= {2}:  # R3
+            colorings, k, lacking = [_merged(labels, v - 2, v - 1)], n1 - 1, n1 - 1
+        else:
+            raise AssertionError(f"profile {profile} of {n1} classes on {v} vertices "
+                                 f"matches no rule")
+        a_p = [(x, y, z) for x, y in combinations(range(v), 2) if labels[x] == labels[y]
+               for z in range(v) if labels[z] != labels[x]]
+        partitions = set(map(Partition, colorings))
+        if not (len(partitions) == len(colorings) and {p.class_count for p in partitions} == {k}
+                and all(_two_coloured(a_p, c) for c in colorings)):
+            raise AssertionError(f"the rule's colorings fail their check on profile {profile} "
+                                 f"of {n1} classes on {v} vertices")
+    return lacking
+
+
+def _method(values: tuple[int, ...], v: int) -> str:
+    """How ``v`` vertices are covered for the target ``values``: by a bound, or by the scan."""
+    n1 = values[0]
+    if v < n1:
+        return METHOD_CLASS_COUNT
+    # up to 6 vertices the scan is cheap, so it stays the independent check there
+    if 7 <= v < 2 * n1 and _profile_rules(n1, v) not in values:
+        return METHOD_PROFILE_RULES
+    return METHOD_SCAN
+
+
 def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = None, *,
                         budget: int = DEFAULT_BUDGET,
                         resume: tuple[int, int] | None = None,
@@ -166,8 +261,11 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
 
     A ``v_max`` below the known optimum certifies the lower bound when the
     verdict is ``certified-none``; running at the optimum instead hunts for
-    witnesses.  The budget counts masks processed; exceeding it aborts with
-    a resumable ``(v, mask)`` cursor.  A ``budget``, ``v_max`` or
+    witnesses.  A vertex count below ``max(spec)``, or one from 7 to
+    ``2*max(spec) - 1`` that the profile rules refute, is settled whole
+    without a scan, and ``settled_by`` names the method used for each.  The
+    budget counts masks scanned; exceeding it aborts with a resumable
+    ``(v, mask)`` cursor.  A ``budget``, ``v_max`` or
     ``max_witnesses`` that is not an ``int``, a ``resume`` that is not a
     tuple or list of two ``int``s, a budget below 1, a ``v_max`` below 3 (an
     empty search range) and a ``resume`` cursor outside the search range
@@ -202,22 +300,28 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
             raise ValueError(f"resume cursor mask {start_mask} is outside "
                              f"[0, 2**{comb(start_v, 3)}) for v={start_v}")
     examined = dict.fromkeys(counts, 0)
+    settled_by: dict[int, str] = {}
     witnesses: list[tuple[MixedHypergraph, OneRealizationCertificate]] = []
-    processed = 0
+    scanned = 0
     for v in range(start_v, v_max + 1):
         total = 1 << comb(v, 3)
         start = start_mask if v == start_v else 0
-        end = min(total, start + budget - processed)
+        settled_by[v] = method = _method(spec.values, v)
+        if method != METHOD_SCAN:
+            examined[v] = total - start
+            continue
+        end = min(total, start + budget - scanned)
         for a in range(start, end, _CHUNK):
             b = min(a + _CHUNK, end)
             witnesses += _scan_range(v, a, b, spec.values)
             examined[v] += b - a
-            processed += b - a
+            scanned += b - a
             if len(witnesses) >= max_witnesses:
                 return SearchReport(spec, counts, examined, witnesses[:max_witnesses],
-                                    VERDICT_WITNESS, processed)
+                                    VERDICT_WITNESS, sum(examined.values()), None, settled_by)
         if end < total:
-            return SearchReport(spec, counts, examined, witnesses,
-                                VERDICT_ABORTED, processed, cursor=(v, end))
+            return SearchReport(spec, counts, examined, witnesses, VERDICT_ABORTED,
+                                sum(examined.values()), (v, end), settled_by)
     verdict = VERDICT_WITNESS if witnesses else VERDICT_NONE
-    return SearchReport(spec, counts, examined, witnesses, verdict, processed)
+    return SearchReport(spec, counts, examined, witnesses, verdict, sum(examined.values()),
+                        None, settled_by)

@@ -10,9 +10,10 @@ value, each list of rows by one encoder call; a bi family is encoded once
 and written for both edge keys.  ``parse`` accepts a list of integer rows
 in one pass; no record sits between a value and its text.
 
-``parse`` trusts nothing in a document: every field is checked, and the
-``bi`` and ``unproven_regime`` fields must agree with what the families
-and ``(variant, spec)`` imply.  The metadata must hold exactly what
+``parse`` trusts nothing in a document: every field is checked, a field
+``serialize`` never writes (``s`` on a plain document included) is
+refused, and the ``bi`` and ``unproven_regime`` fields must agree with
+what the families and ``(variant, spec)`` imply.  The metadata must hold exactly what
 ``serialize`` writes: nothing for a plain document; for a labeled one the
 strings ``feasible_set`` (as ``str(spec)`` writes it), ``variant`` and,
 only when it reads ``"true"``, ``unproven_regime``.  What ``parse``
@@ -34,6 +35,7 @@ from .construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex, _labe
 from .model import MixedHypergraph, _normalize_family, _normalized_hypergraph, build_hypergraph
 
 FORMAT_VERSION = 1
+_PLAIN_KEYS = {"format_version", "bi", "vertex_count", "c_edges", "d_edges", "metadata"}
 
 
 def _inline(rows) -> str:
@@ -112,6 +114,11 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed document: top level must be an object")
+    labeled = "labels" in doc
+    unknown = doc.keys() - _PLAIN_KEYS - ({"s", "labels"} if labeled else set())
+    if unknown:
+        raise ValueError(f"{min(unknown)}: not a field of a {'labeled' if labeled else 'plain'} "
+                         f"document")
 
     version = _take(doc, "format_version", (int,))
     if version != FORMAT_VERSION:

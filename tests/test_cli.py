@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -181,6 +182,17 @@ class TestMinSearch:
         assert "v=3: examined 2" in out
         assert "v=4: examined 16" in out
 
+    def test_profile_rules_settle_four_two(self, capsys):
+        # v=7 holds 2**35 masks; the profile rules settle it without a scan
+        start = perf_counter()
+        assert main(["min-search", "--set", "4,2"]) == 0
+        assert perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert "v=3: examined 2 instances (class-count)\n" in out
+        assert "v=6: examined 1048576 instances\n" in out
+        assert "v=7: examined 34359738368 instances (profile-rules)\n" in out
+        assert "verdict: certified-none" in out
+
     def test_full_six_vertex_scan(self, capsys):
         assert main(["min-search", "--set", "4,2", "--max-vertices", "6"]) == 0
         out = capsys.readouterr().out
@@ -306,16 +318,23 @@ class TestUsage:
 
     def test_readme_usage_matches_the_parser(self):
         # every "bihyper <command>" line of the README's command-line block names a
-        # subcommand, and every --flag on it is one of that subcommand's options
+        # subcommand, and every --flag on it is one of that subcommand's options;
+        # the other way round, every subcommand has a line and every option is listed
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         block = re.search(r"## Command line\n+```\n(.*?)```", readme, re.S).group(1)
         subparsers = next(action.choices for action in build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
         lines = [line for line in block.splitlines() if line.startswith("bihyper ")]
         assert lines
+        listed = {}
         for line in lines:
             words = shlex.split(line.split("#")[0])
             assert words[1] in subparsers, line
             options = subparsers[words[1]]._option_string_actions
             flags = [w.strip("[]") for w in words[2:] if w.lstrip("[").startswith("--")]
             assert [f for f in flags if f not in options] == [], line
+            listed.setdefault(words[1], set()).update(flags)
+        assert sorted(listed) == sorted(subparsers)
+        for name, command in subparsers.items():
+            options = {o for o in command._option_string_actions if o.startswith("--")}
+            assert sorted(options - {"--help"} - listed[name]) == [], name

@@ -308,8 +308,9 @@ class TestOneRealizationDeskScale:
         for spec in all_specs(10, sizes=range(2, 10)):
             built = construct(spec)
             if spec.s == 2 and spec.n2 == spec.n1 - 1:
-                # the formula's value is exhaustively unattainable here; the
-                # verified construction uses one more vertex
+                # the construction uses one vertex more than the formula here.  Only
+                # for {3,2} is the formula's value exhaustively unattainable; for
+                # n >= 4, A(p_n) over the R3 profile (3, 2, ..., 2, 1, 1) attains it
                 assert built.vertex_count == min_size(spec) + 1
             else:
                 assert built.vertex_count == min_size(spec)

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb
+from time import perf_counter
 
 import pytest
 
 from bihyper import minimality
 from bihyper.colorings import (ChromaticSpectrum, OneRealizationCertificate, chromatic_spectrum,
                                enumerate_strict_colorings, is_one_realization)
-from bihyper.construction import construct
-from bihyper.minimality import (VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS, _block_passes,
-                                _mask_to_hypergraph, _partition_table, _scan_range, _sliced_table,
-                                certify_lower_bound)
+from bihyper.construction import FeasibleSpec, construct, min_size
+from bihyper.minimality import (METHOD_CLASS_COUNT, METHOD_PROFILE_RULES, METHOD_SCAN,
+                                VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS, _block_passes,
+                                _mask_to_hypergraph, _method, _partition_table, _profile_rules,
+                                _scan_range, _sliced_table, certify_lower_bound)
 from conftest import all_bi_hypergraphs, random_mixed_hypergraph, shuffled_copy
 
 
@@ -243,3 +245,134 @@ class TestWitnessHunt:
         built = construct([3, 2])
         assert built.vertex_count == 6
         assert is_one_realization(built.hypergraph, [3, 2]).ok
+
+
+def _specs_with_n1(n1):
+    """Every target set whose largest count is ``n1``: 2**(n1 - 2) - 1 of them."""
+    return [FeasibleSpec((n1,) + rest) for size in range(1, n1 - 1)
+            for rest in combinations(range(n1 - 1, 1, -1), size)]
+
+
+def _scan_only(spec, v_max, budget=minimality.DEFAULT_BUDGET, max_witnesses=1):
+    """``certify_lower_bound`` without its bounds: every vertex count is scanned mask by mask."""
+    examined, witnesses, processed = {}, [], 0
+    for v in range(3, v_max + 1):
+        examined[v] = 0
+        total = 1 << comb(v, 3)
+        end = min(total, budget - processed)
+        for a in range(0, end, minimality._CHUNK):
+            b = min(a + minimality._CHUNK, end)
+            witnesses += _scan_range(v, a, b, spec.values)
+            examined[v] += b - a
+            processed += b - a
+            if len(witnesses) >= max_witnesses:
+                return VERDICT_WITNESS, examined, processed, witnesses[:max_witnesses], None
+        if end < total:
+            return VERDICT_ABORTED, examined, processed, witnesses, (v, end)
+    return VERDICT_WITNESS if witnesses else VERDICT_NONE, examined, processed, witnesses, None
+
+
+def _refuted_by_bound(spec, v):
+    """Whether the class count or the profile rules, at any ``v``, refute ``spec`` on ``v``."""
+    return v < spec.n1 or (v < 2 * spec.n1 and _profile_rules(spec.n1, v) not in spec.values)
+
+
+class TestBounds:
+    def test_rules_agree_with_the_scan_up_to_six_vertices(self):
+        cases = [(spec, v) for n1 in range(3, 7) for spec in _specs_with_n1(n1)
+                 for v in range(3, 7)]
+        assert len(cases) == 104
+        refuted = 0
+        for spec, v in cases:
+            if _refuted_by_bound(spec, v):
+                refuted += 1
+                assert _scan_range(v, 0, 1 << comb(v, 3), spec.values) == [], (spec, v)
+            else:
+                # the bounds settle every v below min_size; the rest is the scan's
+                assert v >= min_size(spec), (spec, v)
+        # all but {3,2} at v=5 (R3 needs 2 absent; only the scan refutes it) and at v=6
+        assert refuted == 102
+        assert len(_scan_range(6, 0, 1 << 20, (3, 2))) == 7140  # the bounds are no claim here
+
+    def test_methods_by_vertex_count(self):
+        assert [_method((4, 2), v) for v in range(3, 9)] == (
+            [METHOD_CLASS_COUNT] + [METHOD_SCAN] * 3 + [METHOD_PROFILE_RULES, METHOD_SCAN])
+        # R3 at v = 2*n1 - 1 refutes only sets without n1 - 1
+        assert _profile_rules(4, 7) == 3 and _profile_rules(4, 6) is None
+        assert _method((4, 3), 7) == _method((4, 3, 2), 7) == METHOD_SCAN
+        assert _method((5, 3, 2), 9) == METHOD_PROFILE_RULES
+        assert _method((5, 4), 8) == METHOD_PROFILE_RULES and _method((5, 4), 9) == METHOD_SCAN
+
+    @pytest.mark.parametrize("v_max", [3, 4, 5, 6])
+    def test_reports_equal_a_scan_only_loop(self, v_max):
+        # every S with n1 <= 9, the settle workload's population
+        for spec in [spec for n1 in range(3, 10) for spec in _specs_with_n1(n1)]:
+            report = certify_lower_bound(spec, v_max)
+            verdict, examined, processed, witnesses, cursor = _scan_only(spec, v_max)
+            assert (report.verdict, report.instances_examined, report.masks_processed,
+                    report.witnesses, report.cursor) == (
+                        verdict, examined, processed, witnesses, cursor), spec
+            assert report.settled_by == {v: _method(spec.values, v) for v in range(3, v_max + 1)}
+
+    def test_default_range_is_settled_for_n1_four_to_ten(self):
+        _profile_rules.cache_clear()
+        start = perf_counter()
+        specs = [spec for n1 in range(4, 11) for spec in _specs_with_n1(n1)]
+        reports = [certify_lower_bound(spec) for spec in specs]
+        elapsed = perf_counter() - start
+        assert len(specs) == 501
+        for spec, report in zip(specs, reports):
+            counts = tuple(range(3, min_size(spec)))
+            assert report.verdict == VERDICT_NONE, spec
+            assert report.vertex_counts_searched == counts
+            assert report.instances_examined == {v: 1 << comb(v, 3) for v in counts}
+            assert report.masks_processed == sum(1 << comb(v, 3) for v in counts)
+            assert report.settled_by == {
+                v: METHOD_CLASS_COUNT if v < spec.n1 else
+                METHOD_SCAN if v <= 6 else METHOD_PROFILE_RULES for v in counts}
+        assert elapsed <= 5.0, elapsed
+
+    def test_a_failing_rule_check_raises(self, monkeypatch):
+        _profile_rules.cache_clear()
+        monkeypatch.setattr(minimality, "_two_coloured", lambda triples, labels: False)
+        try:
+            with pytest.raises(AssertionError, match="fail their check"):
+                certify_lower_bound([4, 2])
+        finally:
+            _profile_rules.cache_clear()
+
+    def test_a_profile_no_rule_matches_raises(self):
+        # at v = 2*n1 the profile (2, 2, 2) has no singleton, so no rule applies
+        with pytest.raises(AssertionError, match="matches no rule"):
+            _profile_rules(3, 6)
+
+
+class TestBoundBudget:
+    def test_bounds_consume_no_budget(self):
+        # used to abort at cursor (3, 1): every v here is below n1 = 9
+        report = certify_lower_bound([9, 2], 5, budget=1)
+        assert report.verdict == VERDICT_NONE
+        assert report.masks_processed == 1042
+        assert set(report.settled_by.values()) == {METHOD_CLASS_COUNT}
+
+    def test_budget_counts_masks_scanned(self):
+        report = certify_lower_bound([4, 2], budget=1)
+        assert report.verdict == VERDICT_ABORTED
+        assert report.cursor == (4, 1)
+        assert report.instances_examined == {3: 2, 4: 1, 5: 0, 6: 0, 7: 0}
+        assert report.masks_processed == 3
+        assert report.settled_by == {3: METHOD_CLASS_COUNT, 4: METHOD_SCAN}
+        resumed = certify_lower_bound([4, 2], resume=report.cursor)
+        assert resumed.verdict == VERDICT_NONE
+        assert report.masks_processed + resumed.masks_processed == sum(
+            1 << comb(v, 3) for v in range(3, 8))
+
+    @pytest.mark.parametrize("spec,v_max,cursor,method", [
+        ([4, 2], 7, (7, 5), METHOD_PROFILE_RULES), ([9, 2], 5, (4, 3), METHOD_CLASS_COUNT)])
+    def test_resume_inside_a_settled_range_covers_its_rest(self, spec, v_max, cursor, method):
+        v, mask = cursor
+        report = certify_lower_bound(spec, v_max, resume=cursor, budget=1)
+        assert report.verdict == VERDICT_NONE
+        assert report.instances_examined[v] == (1 << comb(v, 3)) - mask
+        assert report.masks_processed == sum(report.instances_examined.values())
+        assert report.settled_by[v] == method and min(report.settled_by) == v

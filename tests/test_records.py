@@ -75,10 +75,11 @@ RECORDS = {
     "SearchReport": (
         lambda: SearchReport(spec=FeasibleSpec((3, 2)), vertex_counts_searched=(3, 4),
                              instances_examined={3: 2, 4: 16}, witnesses=[],
-                             verdict="certified-none", masks_processed=18, cursor=None),
+                             verdict="certified-none", masks_processed=18, cursor=None,
+                             settled_by={3: "mask-scan", 4: "mask-scan"}),
         "SearchReport(spec=FeasibleSpec(values=(3, 2)), vertex_counts_searched=(3, 4), "
         "instances_examined={3: 2, 4: 16}, witnesses=[], verdict='certified-none', "
-        "masks_processed=18, cursor=None)"),
+        "masks_processed=18, cursor=None, settled_by={3: 'mask-scan', 4: 'mask-scan'})"),
     "MixedHypergraph": (
         lambda: MixedHypergraph(3),
         "MixedHypergraph(vertex_count=3, c_edges=(), d_edges=())"),
@@ -190,7 +191,7 @@ def test_positional_construction_and_defaults():
     labeled = _labeled()
     assert LabeledHypergraph(labeled.hypergraph, labeled.labels, labeled.spec, "I") == labeled
     report = SearchReport(FeasibleSpec((3, 2)), (3,), {3: 2}, [], "certified-none", 2)
-    assert report.cursor is None
+    assert (report.cursor, report.settled_by) == (None, {})
 
 
 def test_fields_match_by_position():

@@ -185,6 +185,22 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="vertex_count"):
             parse(json.dumps(doc))
 
+    @pytest.mark.parametrize("labeled, key, value", [
+        # each parsed before, and serialize dropped the key when writing back
+        (False, "x", 1), (False, "s", 7), (True, "x", 1), (True, "format", 1)])
+    def test_top_level_key_serialize_never_writes(self, labeled, key, value):
+        doc = json.loads(serialize(construct([4, 2]) if labeled else build_hypergraph(2)))
+        doc[key] = value
+        kind = "labeled" if labeled else "plain"
+        with pytest.raises(ValueError, match=f"^{key}: not a field of a {kind} document$"):
+            parse(json.dumps(doc))
+
+    def test_labeled_doc_needs_s(self):
+        doc = json.loads(serialize(construct([4, 2])))
+        del doc["s"]
+        with pytest.raises(ValueError, match="^s: missing required field"):
+            parse(json.dumps(doc))
+
     def test_labeled_doc_needs_metadata(self):
         doc = json.loads(serialize(construct([4, 2])))
         del doc["metadata"]["feasible_set"]
