@@ -141,6 +141,18 @@ def _cmd_verify(args) -> int:
     return EXIT_REFUTED
 
 
+def _count(n: int) -> str:
+    """``n`` in decimal, or as ``2**k - d`` when ``str`` refuses that many digits."""
+    try:
+        return str(n)
+    except ValueError:
+        k = (n - 1).bit_length()  # the least k with n <= 2**k
+        if n == 1 << k:
+            return f"2**{k}"
+        rest = _count((1 << k) - n)
+        return f"2**{k} - {rest}" if rest.isdigit() else f"2**{k} - ({rest})"
+
+
 def _cmd_min_search(args) -> int:
     spec = _spec(args.set)
     bound = min_size(spec)
@@ -161,7 +173,7 @@ def _cmd_min_search(args) -> int:
     for v in report.vertex_counts_searched:
         method = report.settled_by.get(v, METHOD_SCAN)
         by = "" if method == METHOD_SCAN else f" ({method})"
-        print(f"v={v}: examined {report.instances_examined[v]} instances{by}")
+        print(f"v={v}: examined {_count(report.instances_examined[v])} instances{by}")
     print(f"verdict: {report.verdict} (bound for {{{spec}}} is {bound})")
     if report.verdict == VERDICT_ABORTED:
         v, mask = report.cursor

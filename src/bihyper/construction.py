@@ -179,9 +179,11 @@ class LabeledHypergraph(_Record):
 
 
 def min_size(spec: FeasibleSpec | Iterable[int]) -> int:
-    """Minimum vertex count of a 3-uniform bi-hypergraph one-realization.
+    """The paper's closed form for the minimum vertex count of a one-realization.
 
-    Equals ``2*n1 - 1`` when ``n2 == n1 - 1`` and ``2*n1`` otherwise.
+    Equals ``2*n1 - 1`` when ``n2 == n1 - 1`` and ``2*n1`` otherwise.  That
+    is the minimum for every target set but one: for ``{3,2}`` it gives 5,
+    and the optimum is 6 (no 5-vertex instance one-realizes ``{3,2}``).
     """
     spec = FeasibleSpec.of(spec)
     return 2 * spec.n1 - (spec.n2 + 1) // spec.n1

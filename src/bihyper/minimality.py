@@ -12,17 +12,20 @@ vertices no partition has ``n1`` classes.  The profile rules (``7 <= v <=
 ``n1``-coloring ``p``, every edge of ``M`` lies in ``A(p)``, the triples
 ``p`` 2-colours (two vertices of one class, one of another), so every
 strict coloring of ``A(p)`` is one of ``M``; two with one count, or one
-with a count outside ``S``, refute ``S``.  For ``v <= 2*n1 - 1`` the
-profile of ``p`` (its class sizes, non-increasing) has ``s >= 1``
-singletons, and no triple of ``A(p)`` holds two.  R1 (``s >= 3``): merging
-the first singleton with the second, or with the third, gives two
-``(n1-1)``-colorings.  R2 (``s`` is 1 or 2, every other class a pair): two
-2-colorings split every pair and place the last singleton differently.  R3
-(profile ``(3, 2, ..., 2, 1, 1)``): merging the singletons gives an
-``(n1-1)``-coloring, which refutes ``S`` exactly when ``n1 - 1`` is not in
-``S``.  These cover every profile.  The rules' colorings are built and
-checked proper on ``A(p)`` once per ``(n1, v)``; a profile that matches no
-rule or fails its check raises, and never certifies.
+with a count outside ``S``, refute ``S``.  The profile of ``p`` (its class
+sizes, non-increasing) has ``s >= 1`` singletons and ``e = v + s - 2*n1
+<= s - 1`` vertices beyond one pair per larger class.  R1 (``s >= 3``):
+merging the first singleton with the second, or with the third, gives two
+``(n1-1)``-colorings.  R2 (``s <= 2``, ``e = 0``): two 2-colorings split
+every pair and place the last singleton apart.  R3 (``s = 2``, ``e = 1``):
+merging the singletons gives an ``(n1-1)``-coloring, which refutes ``S``
+exactly when ``n1 - 1`` is not in ``S``.  R2 and R3 have one profile each,
+and an R1 merge keeps every larger class alone in its colour, so each
+``s`` is checked once, on ``(2 + e, 2, ..., 2, 1, ..., 1)``, by one count
+per class and colour: a coloring is proper on ``A(p)`` exactly when no
+colour repeated in a class occurs outside it, and a class shows two
+colours only if the coloring has two in all.  A profile no rule covers,
+or a failed check, raises.
 
 Every other ``v``, and every ``v <= 6``, is scanned mask by mask.
 Certification is bit-sliced over a table built once per ``v``: one row per
@@ -48,6 +51,7 @@ a witness hunt stops at the end of the chunk that reaches its quota, so
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from functools import cache
 from itertools import combinations
@@ -188,20 +192,13 @@ def _scan_range(v: int, start: int, stop: int, values: tuple[int, ...]
     return witnesses
 
 
-def _profiles(v: int, parts: int, largest: int):
-    """The partitions of the integer ``v`` into ``parts`` non-increasing parts <= ``largest``."""
-    if parts == 0:
-        if v == 0:
-            yield ()
-        return
-    for first in range(min(largest, v - parts + 1), 0, -1):
-        for rest in _profiles(v - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _two_coloured(triples: list[tuple[int, int, int]], labels: list[int]) -> bool:
-    """Whether ``labels`` gives every triple exactly two classes: a proper bi-edge coloring."""
-    return all(len({labels[x], labels[y], labels[z]}) == 2 for x, y, z in triples)
+def _proper_on_a(labels: list[int], coloring: list[int]) -> bool:
+    """Whether ``coloring`` is proper on ``A(p)``; ``p`` has ``labels`` and two or more classes."""
+    total = Counter(coloring)
+    inside = Counter(zip(labels, coloring))  # the vertices of each (class, colour)
+    # a class may show two colours only in a 2-coloring; a repeated one occurs nowhere else
+    return ((len(total) <= 2 or len(inside) == len(set(labels)))
+            and all(n == 1 or total[c] == n for (_, c), n in inside.items()))
 
 
 def _merged(labels: list[int], a: int, b: int) -> list[int]:
@@ -218,27 +215,27 @@ def _profile_rules(n1: int, v: int) -> int | None:
     are not distinct, proper on ``A(p)`` and of the rule's class count.
     """
     lacking = None
-    for profile in _profiles(v, n1, v):
+    for s in range(max(0, 2 * n1 - v), n1 + (v == n1)):  # the s that some profile has
+        e = v + s - 2 * n1
+        profile = [2] * (n1 - s) + [1] * s
+        profile[0] += e
         labels = [c for c, size in enumerate(profile) for _ in range(size)]
-        s = profile.count(1)
         u = v - s  # the first singleton
         if s >= 3:  # R1
             colorings, k = [_merged(labels, u, u + 1), _merged(labels, u, u + 2)], n1 - 1
-        elif s in (1, 2) and set(profile[:-s]) == {2}:  # R2
+        elif s and not e:  # R2
             split = [x % 2 for x in range(u)] + [0] * s
             colorings, k = [split, split[:-1] + [1]], 2
-        elif s == 2 and profile[0] == 3 and set(profile[1:-2]) <= {2}:  # R3
+        elif s == 2 and e == 1:  # R3
             colorings, k, lacking = [_merged(labels, v - 2, v - 1)], n1 - 1, n1 - 1
         else:
-            raise AssertionError(f"profile {profile} of {n1} classes on {v} vertices "
+            raise AssertionError(f"profile {tuple(profile)} of {n1} classes on {v} vertices "
                                  f"matches no rule")
-        a_p = [(x, y, z) for x, y in combinations(range(v), 2) if labels[x] == labels[y]
-               for z in range(v) if labels[z] != labels[x]]
         partitions = set(map(Partition, colorings))
         if not (len(partitions) == len(colorings) and {p.class_count for p in partitions} == {k}
-                and all(_two_coloured(a_p, c) for c in colorings)):
-            raise AssertionError(f"the rule's colorings fail their check on profile {profile} "
-                                 f"of {n1} classes on {v} vertices")
+                and all(_proper_on_a(labels, c) for c in colorings)):
+            raise AssertionError(f"the rule's colorings fail their check on profile "
+                                 f"{tuple(profile)} of {n1} classes on {v} vertices")
     return lacking
 
 

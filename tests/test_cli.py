@@ -4,6 +4,8 @@ import argparse
 import json
 import re
 import shlex
+import sys
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -192,6 +194,26 @@ class TestMinSearch:
         assert "v=6: examined 1048576 instances\n" in out
         assert "v=7: examined 34359738368 instances (profile-rules)\n" in out
         assert "verdict: certified-none" in out
+
+    def test_counts_past_the_decimal_digit_limit(self, capsys):
+        # 2**C(46,3) has 4,570 decimal digits: more than str() converts by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["min-search", "--set", "64,2"]) == 0
+            sixty_four = capsys.readouterr().out
+            assert main(["min-search", "--set", "24,2", "--resume", "46:5"]) == 0
+            resumed = capsys.readouterr().out
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "v=6: examined 1048576 instances (class-count)\n" in sixty_four
+        assert f"v=45: examined {1 << comb(45, 3)} instances (class-count)\n" in sixty_four
+        assert "v=46: examined 2**15180 instances (class-count)\n" in sixty_four
+        assert "v=127: examined 2**333375 instances (profile-rules)\n" in sixty_four
+        assert sixty_four.endswith("verdict: certified-none (bound for {64,2} is 128)\n")
+        assert "v=46: examined 2**15180 - 5 instances (profile-rules)\n" in resumed
+        assert resumed.endswith("v=47: examined 2**16215 instances (profile-rules)\n"
+                                "verdict: certified-none (bound for {24,2} is 48)\n")
 
     def test_full_six_vertex_scan(self, capsys):
         assert main(["min-search", "--set", "4,2", "--max-vertices", "6"]) == 0

@@ -5,6 +5,7 @@ from math import comb
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihyper import minimality
 from bihyper.colorings import (ChromaticSpectrum, OneRealizationCertificate, chromatic_spectrum,
@@ -13,7 +14,8 @@ from bihyper.construction import FeasibleSpec, construct, min_size
 from bihyper.minimality import (METHOD_CLASS_COUNT, METHOD_PROFILE_RULES, METHOD_SCAN,
                                 VERDICT_ABORTED, VERDICT_NONE, VERDICT_WITNESS, _block_passes,
                                 _mask_to_hypergraph, _method, _partition_table, _profile_rules,
-                                _scan_range, _sliced_table, certify_lower_bound)
+                                _proper_on_a, _scan_range, _sliced_table, certify_lower_bound)
+from bihyper.model import Partition
 from conftest import all_bi_hypergraphs, random_mixed_hypergraph, shuffled_copy
 
 
@@ -334,7 +336,7 @@ class TestBounds:
 
     def test_a_failing_rule_check_raises(self, monkeypatch):
         _profile_rules.cache_clear()
-        monkeypatch.setattr(minimality, "_two_coloured", lambda triples, labels: False)
+        monkeypatch.setattr(minimality, "_proper_on_a", lambda labels, coloring: False)
         try:
             with pytest.raises(AssertionError, match="fail their check"):
                 certify_lower_bound([4, 2])
@@ -345,6 +347,89 @@ class TestBounds:
         # at v = 2*n1 the profile (2, 2, 2) has no singleton, so no rule applies
         with pytest.raises(AssertionError, match="matches no rule"):
             _profile_rules(3, 6)
+
+    def test_rules_agree_with_a_per_profile_check(self):
+        # every (n1, v) the rules can settle up to n1 = 16, against every profile
+        cases = [(n1, v) for n1 in range(3, 17) for v in range(max(7, n1), 2 * n1)]
+        assert len(cases) == 124
+        _profile_rules.cache_clear()
+        start = perf_counter()
+        for n1, v in cases:
+            assert _profile_rules(n1, v) == _profile_rules_oracle(n1, v), (n1, v)
+        assert perf_counter() - start <= 2.0
+
+    def test_sixty_four_two_is_settled_fast_from_cold_caches(self):
+        for cached in (_profile_rules, _partition_table, _sliced_table, minimality._triples):
+            cached.cache_clear()
+        start = perf_counter()
+        report = certify_lower_bound([64, 2])
+        elapsed = perf_counter() - start
+        assert report.verdict == VERDICT_NONE
+        assert report.vertex_counts_searched == tuple(range(3, 128))
+        assert report.settled_by == {v: METHOD_CLASS_COUNT if v < 64 else METHOD_PROFILE_RULES
+                                     for v in range(3, 128)}
+        assert report.instances_examined[127] == 1 << comb(127, 3)
+        assert elapsed < 1.0, elapsed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_class_level_test_matches_the_triple_definition(self, data):
+        # p by its labels, so its classes need not be consecutive; p has two or more classes
+        labels = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=9).filter(
+            lambda labels: len(set(labels)) >= 2))
+        coloring = data.draw(st.lists(st.integers(0, 3), min_size=len(labels),
+                                      max_size=len(labels)))
+        assert _proper_on_a(labels, coloring) == _two_coloured(_a_of(labels), coloring)
+
+
+def _profiles(v, parts, largest):
+    """The partitions of the integer ``v`` into ``parts`` non-increasing parts <= ``largest``."""
+    if parts == 0:
+        if v == 0:
+            yield ()
+        return
+    for first in range(min(largest, v - parts + 1), 0, -1):
+        for rest in _profiles(v - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _a_of(labels):
+    """``A(p)`` by its definition: each triple of two vertices of one class and one outside it."""
+    v = len(labels)
+    return [(x, y, z) for x, y in combinations(range(v), 2) if labels[x] == labels[y]
+            for z in range(v) if labels[z] != labels[x]]
+
+
+def _two_coloured(triples, coloring):
+    """Whether ``coloring`` gives every triple exactly two colours."""
+    return all(len({coloring[x], coloring[y], coloring[z]}) == 2 for x, y, z in triples)
+
+
+def _merged(labels, a, b):
+    return labels[:b] + [labels[a]] + labels[b + 1:]
+
+
+def _profile_rules_oracle(n1, v):
+    """R1-R3 checked on every profile of ``n1`` classes on ``v`` vertices, triple by triple."""
+    lacking = None
+    for profile in _profiles(v, n1, v):
+        labels = [c for c, size in enumerate(profile) for _ in range(size)]
+        s = profile.count(1)
+        u = v - s
+        if s >= 3:
+            colorings, k = [_merged(labels, u, u + 1), _merged(labels, u, u + 2)], n1 - 1
+        elif s in (1, 2) and set(profile[:-s]) == {2}:
+            split = [x % 2 for x in range(u)] + [0] * s
+            colorings, k = [split, split[:-1] + [1]], 2
+        elif s == 2 and profile[0] == 3 and set(profile[1:-2]) <= {2}:
+            colorings, k, lacking = [_merged(labels, v - 2, v - 1)], n1 - 1, n1 - 1
+        else:
+            raise AssertionError(f"profile {profile} matches no rule")
+        a_p = _a_of(labels)
+        assert len({Partition(c) for c in colorings}) == len(colorings), profile
+        assert {Partition(c).class_count for c in colorings} == {k}, profile
+        assert all(_two_coloured(a_p, c) for c in colorings), profile
+    return lacking
 
 
 class TestBoundBudget:
