@@ -18,7 +18,7 @@ from pathlib import Path
 from .colorings import enumerate_strict_colorings, is_one_realization
 from .construction import FeasibleSpec, LabeledHypergraph, construct, min_size
 from .minimality import (DEFAULT_BUDGET, METHOD_SCAN, VERDICT_ABORTED, VERDICT_WITNESS,
-                         certify_lower_bound)
+                         _count, certify_lower_bound)
 from .model import MixedHypergraph, Partition, VertexBijection, check_isomorphism_under_map
 from .serialization import parse, serialize
 
@@ -139,18 +139,6 @@ def _cmd_verify(args) -> int:
     for p in cert.counterexamples:
         _print_partition(value, p)
     return EXIT_REFUTED
-
-
-def _count(n: int) -> str:
-    """``n`` in decimal, or as ``2**k - d`` when ``str`` refuses that many digits."""
-    try:
-        return str(n)
-    except ValueError:
-        k = (n - 1).bit_length()  # the least k with n <= 2**k
-        if n == 1 << k:
-            return f"2**{k}"
-        rest = _count((1 << k) - n)
-        return f"2**{k} - {rest}" if rest.isdigit() else f"2**{k} - ({rest})"
 
 
 def _cmd_min_search(args) -> int:

@@ -2,15 +2,15 @@
 
 Given target class counts ``n1 > n2 > ... > ns >= 2``, vertices are
 (s+1)-tuples ``(x1, ..., xs, b)`` with ``1 <= xi <= ni`` and a bit ``b``.
-The vertex set is assembled from s coordinate blocks plus one extra
-vertex; bi-edges are all vertex triples showing exactly two distinct
-values in every tuple position, plus one explicit special edge that is
-monochromatic in the bit position.  Variant I uses ``2*n1`` vertices and
+The vertex set is one set of labels, listed as the paper defines them and
+checked by one count: ``2*n1`` distinct.  Bi-edges are all vertex triples
+showing exactly two distinct values in every tuple position, plus one
+explicit special edge that is monochromatic in the bit position.  Variant I uses ``2*n1`` vertices and
 is always a one-realization; variant II deletes one designated vertex,
 reaching ``2*n1 - 1``, and stays a one-realization when ``n2 == n1 - 1``
 and there are at least three class counts.
 
-Labels travel as plain full tuples, flag last, from block assembly to the
+Labels travel as plain full tuples, flag last, from that set to the
 edges.  ``construct`` checks nothing twice that it has just built: the
 coordinate rule emits its triples already sorted, so the family is wrapped
 through the trusted ``model._normalized_hypergraph``, and the labels
@@ -26,7 +26,7 @@ one-realization of the target set.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable
 from itertools import combinations, repeat
 from operator import gt, itemgetter
@@ -189,25 +189,26 @@ def min_size(spec: FeasibleSpec | Iterable[int]) -> int:
     return 2 * spec.n1 - (spec.n2 + 1) // spec.n1
 
 
-def _block_labels(spec: FeasibleSpec) -> list[list[tuple[int, ...]]]:
-    """The s coordinate blocks as full label tuples, in block order 1..s; duplicates
-    across blocks allowed."""
-    n = spec.values
-    s = spec.s
-    blocks: list[list[tuple[int, ...]]] = []
+def _variant_i_labels(spec: FeasibleSpec) -> list[tuple[int, ...]]:
+    """Variant I's ``2*n1`` full labels (flag last), sorted.
+
+    The extra vertex ``(n1, ..., ns, 1)``; for each ``t < s`` and each value
+    ``n(t+1) <= x < nt`` the pair ``(x^t, 1, ..., 1, 0)`` and
+    ``(x^t, n(t+1), ..., ns, 1)``; and ``(j, ..., j, b)`` for ``1 <= j <= ns``
+    and both flags.  That lists ``2*n1 + 1`` labels, so ``2*n1`` distinct ones
+    means exactly one collision: ``(ns, ..., ns, 1)``, listed by ``t = s - 1``
+    and by ``j = ns``.
+    """
+    n, s = spec.values, spec.s
+    labels = {n + (1,)}
     for t in range(1, s):
-        block = []
-        for k in range(n[t - 1] - n[t]):
-            head = (n[t] + k,) * t
-            block.append(head + (1,) * (s - t) + (0,))
-            block.append(head + n[t:] + (1,))
-        blocks.append(block)
-    last = []
-    for j in range(1, n[-1] + 1):
-        last.append((j,) * s + (0,))
-        last.append((j,) * s + (1,))
-    blocks.append(last)
-    return blocks
+        for x in range(n[t], n[t - 1]):
+            labels.add((x,) * t + (1,) * (s - t) + (0,))
+            labels.add((x,) * t + n[t:] + (1,))
+    labels.update((j,) * s + (b,) for j in range(1, n[-1] + 1) for b in (0, 1))
+    if len(labels) != 2 * spec.n1:
+        raise RuntimeError(f"built {len(labels)} vertices, expected {2 * spec.n1}")
+    return sorted(labels)
 
 
 def special_edge_labels(spec: FeasibleSpec) -> tuple[LabeledVertex, LabeledVertex, LabeledVertex]:
@@ -294,23 +295,10 @@ def construct(spec: FeasibleSpec | Iterable[int], variant: str = "auto",
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected I, II or auto")
 
-    pool = [spec.values + (1,)]  # the extra vertex
-    for block in _block_labels(spec):
-        pool.extend(block)
-    tally = Counter(pool)
-    duplicated = sorted(v for v, c in tally.items() if c > 1)
-    seam = (spec.values[-1],) * spec.s + (1,)
-    if duplicated != [seam] or tally[seam] != 2:
-        raise RuntimeError(
-            f"blocks overlap in {duplicated}; expected exactly {seam} shared by the "
-            "last two blocks")
-    fulls = sorted(tally)
-    if len(fulls) != 2 * spec.n1:
-        raise RuntimeError(f"built {len(fulls)} vertices, expected {2 * spec.n1}")
-
+    fulls = _variant_i_labels(spec)
     if variant == "II":  # built directly on the kept vertices
         deleted = deleted_label(spec).full
-        if deleted not in tally:
+        if deleted not in fulls:
             raise RuntimeError("variant II expected to delete exactly one vertex")
         fulls.remove(deleted)
     edges = _coordinate_rule_edges(fulls)
@@ -337,13 +325,10 @@ def canonical_coloring(built: LabeledHypergraph, i: int) -> Partition:
     _check_ints((i,), "coordinate index")
     if not (1 <= i <= spec.s):
         raise ValueError(f"coordinate index {i} out of range 1..{spec.s}")
-    ni = spec.values[i - 1]
-    classes: list[list[int]] = [[] for _ in range(ni)]
-    for vertex, label in enumerate(built.labels):
-        classes[label.coords[i - 1] - 1].append(vertex)
-    if not all(classes):
+    column = [label.coords[i - 1] for label in built.labels]
+    if set(column) != set(range(1, spec.values[i - 1] + 1)):
         raise RuntimeError("a canonical class is unexpectedly empty")
-    partition = Partition.from_classes(classes)
+    partition = Partition(column)
     if not is_proper(built.hypergraph, partition):
         raise RuntimeError("canonical coloring is improper")
     return partition
@@ -385,12 +370,8 @@ def reduction_bijection(spec: FeasibleSpec | Iterable[int]) -> ReductionMap:
             "must leave a valid target")
     parent = construct(spec, "I")
 
-    wanted = {(spec.n2,) + spec.values[1:] + (1,)}
-    for block in _block_labels(spec)[1:]:
-        wanted.update(block)
-    index = {label.full: i for i, label in enumerate(parent.labels)}
-    subset = tuple(sorted(index[full] for full in wanted))
-
+    subset = tuple(i for i, label in enumerate(parent.labels)
+                   if label.coords[0] == label.coords[1])
     restricted, old_to_new = induced_subhypergraph(parent.hypergraph, subset)
     target = construct(spec.tail(), "I")
     target_index = target.label_index()

@@ -59,7 +59,7 @@ from math import comb
 
 from .colorings import OneRealizationCertificate, is_one_realization, iter_strict_colorings
 from .construction import FeasibleSpec, min_size
-from .model import MixedHypergraph, Partition, _Record
+from .model import MixedHypergraph, Partition, _normalized_hypergraph, _Record
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4096
@@ -80,7 +80,7 @@ def _triples(v: int) -> tuple[tuple[int, int, int], ...]:
 
 def _mask_to_hypergraph(v: int, mask: int) -> MixedHypergraph:
     family = tuple(t for i, t in enumerate(_triples(v)) if mask >> i & 1)
-    return MixedHypergraph(v, family, family)
+    return _normalized_hypergraph(v, family, family)  # combinations emits sorted triples
 
 
 class SearchReport(_Record):
@@ -113,6 +113,32 @@ class SearchReport(_Record):
         self.masks_processed = masks_processed
         self.cursor = cursor
         self.settled_by = {} if settled_by is None else settled_by
+
+    def __repr__(self) -> str:
+        # counts past the decimal digit limit of str print as the CLI prints them
+        fields = dict(zip(self.__match_args__, self._values(self)))
+        fields["instances_examined"] = {v: _Bare(_count(n))
+                                        for v, n in self.instances_examined.items()}
+        fields["masks_processed"] = _Bare(_count(self.masks_processed))
+        return f"SearchReport({', '.join(map('{}={!r}'.format, fields, fields.values()))})"
+
+
+def _count(n: int) -> str:
+    """``n`` in decimal, or as ``2**k - d`` when ``str`` refuses that many digits."""
+    try:
+        return str(n)
+    except ValueError:
+        k = (n - 1).bit_length()  # the least k with n <= 2**k
+        if n == 1 << k:
+            return f"2**{k}"
+        rest = _count((1 << k) - n)
+        return f"2**{k} - {rest}" if rest.isdigit() else f"2**{k} - ({rest})"
+
+
+class _Bare(str):
+    """Text that a container's ``repr`` shows without quotes."""
+
+    __repr__ = str.__str__
 
 
 @cache

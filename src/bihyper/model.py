@@ -8,8 +8,8 @@ families is a bi-edge; when the families coincide the structure is a
 bi-hypergraph.  Colorings are unordered set partitions, stored in a
 canonical restricted-growth encoding so equal partitions compare equal.
 
-Everything here is an immutable value; instances may be shared freely
-between concurrent workers.  The package's record types derive from
+Everything here is an immutable value, so instances may be shared
+freely.  The package's record types derive from
 ``_Record``.  Each annotates its fields in order and writes an ``__init__``
 that stores each field once with ``object.__setattr__``; the base compares
 and hashes instances of one class by their field tuple, prints them as

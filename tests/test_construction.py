@@ -317,12 +317,30 @@ class TestOneRealizationDeskScale:
 
 
 class TestReduction:
+    @staticmethod
+    def _tail_blocks(spec):
+        # the subset by blocks: the tail's extra vertex with its first
+        # coordinate repeated, then coordinate blocks 2..s of the parent
+        n, s = spec.values, spec.s
+        wanted = {(n[1],) + n[1:] + (1,)}
+        for t in range(2, s):
+            for x in range(n[t], n[t - 1]):
+                wanted.add((x,) * t + (1,) * (s - t) + (0,))
+                wanted.add((x,) * t + n[t:] + (1,))
+        wanted.update((j,) * s + (b,) for j in range(1, n[-1] + 1) for b in (0, 1))
+        return wanted
+
     def test_subset_is_first_two_coordinates_equal(self):
-        r = reduction_bijection([5, 3, 2])
-        first_two_equal = {v for v, l in enumerate(r.parent.labels)
-                           if l.coords[0] == l.coords[1]}
-        assert set(r.subset) == first_two_equal
-        assert len(r.subset) == 2 * 3  # twice the second-largest count
+        specs = all_specs(10, sizes=range(3, 10))
+        assert len(specs) == 466
+        for spec in specs:
+            r = reduction_bijection(spec)
+            first_two_equal = {v for v, l in enumerate(r.parent.labels)
+                               if l.coords[0] == l.coords[1]}
+            assert set(r.subset) == first_two_equal
+            assert {r.parent.labels[v].full for v in r.subset} == self._tail_blocks(spec)
+            assert len(r.subset) == 2 * spec.n2  # twice the second-largest count
+            assert check_isomorphism_under_map(r.restricted, r.target.hypergraph, r.bijection)
 
     def test_coordinate_drop_is_isomorphism(self):
         for values in ([5, 3, 2], [4, 3, 2], [5, 4, 3, 2], [6, 4, 2]):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import combinations, permutations
 from math import comb
 from time import perf_counter
@@ -25,7 +26,9 @@ class TestStream:
         for v, total in ((3, 2), (4, 16), (5, 1024)):
             stream = list(all_bi_hypergraphs(v))
             assert len(stream) == total
-            assert stream == [_mask_to_hypergraph(v, mask) for mask in range(total)]
+            rebuilt = [_mask_to_hypergraph(v, mask) for mask in range(total)]
+            assert stream == rebuilt
+            assert all(h.c_edges is h.d_edges for h in rebuilt)
 
     def test_instances_are_bi_and_3_uniform(self):
         for mask in range(16):
@@ -370,6 +373,19 @@ class TestBounds:
                                      for v in range(3, 128)}
         assert report.instances_examined[127] == 1 << comb(127, 3)
         assert elapsed < 1.0, elapsed
+
+    def test_repr_prints_counts_past_the_decimal_digit_limit(self):
+        # 2**C(46,3) has 4,570 decimal digits: more than str() converts by default
+        report = certify_lower_bound([24, 2])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = repr(report)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert f"45: {1 << comb(45, 3)}, 46: 2**15180, 47: 2**16215}}" in text
+        assert text.startswith("SearchReport(spec=FeasibleSpec(values=(24, 2)), ")
+        assert text.endswith(", 47: 'profile-rules'})")
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -97,6 +97,20 @@ class TestDeterminism:
         assert digest.hexdigest() == \
             "dbccf75f06413d887362a34ff7c75c97f7211874be41482fc3ee6e58ed94af0f"
 
+    def test_auto_construction_bytes_are_pinned_for_n1_nine_to_twelve(self):
+        # sha256 of the default build's document for each of the 1,916 S with
+        # 9 <= n1 <= 12, in the order n1, then class count, then combinations
+        digest = hashlib.sha256()
+        count = 0
+        for n1 in range(9, 13):
+            for k in range(1, n1 - 1):
+                for rest in combinations(range(n1 - 1, 1, -1), k):
+                    digest.update(serialize(construct((n1,) + rest)).encode())
+                    count += 1
+        assert count == 1916
+        assert digest.hexdigest() == \
+            "75f0bc2433a69490a00bad0ce80a3064e2cabf55e9f5a973d977d5b36b725abd"
+
 
 class TestParseErrors:
     def test_malformed_syntax_names_position(self):
