@@ -47,13 +47,14 @@ takes its rows from one walk of the lazy path, and tallies its spectrum
 over them), beside its mask.  After the walk, C-level passes encode all
 parents in bulk.  A parent's classes by first vertex in index order, the
 hole among them, form its pattern, one longer than its class count.  For
-each distinct (pattern, allowed classes) pair, and few occur, one 256-byte
-table per allowed class ``x`` ranks the leaf's classes ``0, 1, ...`` and
-sends the hole to the rank of ``x``, so one C-level ``translate`` gives
-each leaf's canonical restricted-growth form in index order.  Colorings are
-reported sorted by their encodings (for equal-length ``bytes`` memcmp order
-is tuple order), so reports are deterministic; only the kept rows become
-tuples and Partitions.  A spectrum-only call (``limit=0``) builds no row.
+each distinct (pattern, allowed classes) pair, and few occur, one
+``bytes.maketrans`` ranks the pattern's classes ``0, 1, ...``, the hole a
+class of its own: the fresh class's table.  A merge table joining the
+hole's rank to an existing class's makes that class's, so one C-level
+``translate`` gives each leaf's canonical restricted-growth form in index
+order.  Reports sort colorings by encoding (memcmp order on equal-length
+``bytes`` is tuple order), so they are deterministic; only kept rows become
+tuples, by one ``iter_unpack``, and Partitions; ``limit=0`` builds no row.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from operator import attrgetter
+from struct import iter_unpack
 
 from .model import MixedHypergraph, Partition, _canonical_partitions, _check_ints, _Record
 
 _HOLE = 255  # the last vertex's byte in a parent's labels
+_RANKS = bytes(range(256))  # the identity table; its prefixes are ranks 0, 1, ...
 
 
 class ChromaticSpectrum(_Record):
@@ -322,8 +325,8 @@ class _Searcher:
         The rows are canonical labels as ``bytes``, built only if
         ``collect`` (which needs n <= 256).  The walk only records each
         parent and its mask; C-level passes then find the patterns, build
-        the tables once per distinct (pattern, mask), and ``translate``
-        every parent by each of its tables.
+        the tables once per distinct (pattern, mask) and each merge table
+        once, and ``translate`` every parent by each of its tables.
         """
         counts = [0] * (self.n + 1)
         parents: list[bytes] = []
@@ -338,7 +341,8 @@ class _Searcher:
                 parents.append(bytes(labels))
                 masks.append(mask)
         keys = list(zip(map(bytes, map(dict.fromkeys, parents)), masks))
-        tables = {key: _leaf_tables(*key) for key in set(keys)}
+        merges: dict[tuple[int, int], bytes] = {}
+        tables = {key: _leaf_tables(*key, merges) for key in set(keys)}
         return counts, list(chain.from_iterable(map(
             map, map(attrgetter("translate"), parents), map(tables.__getitem__, keys))))
 
@@ -385,18 +389,24 @@ def iter_strict_colorings(h: MixedHypergraph,
     return _Searcher(h, order).colorings()
 
 
-def _leaf_tables(pattern: bytes, mask: int) -> list[bytes]:
+def _leaf_tables(pattern: bytes, mask: int, merges: dict) -> list[bytes]:
     """Per class ``x`` in ``mask``, ascending: the table that ranks the classes
-    of ``pattern`` with the hole set to ``x``, and sends the hole to ``x``'s rank."""
+    of ``pattern`` with the hole set to ``x``, and sends the hole to ``x``'s rank:
+    ``fresh``, the hole a class of its own, through the merge table (kept in
+    ``merges``) joining the hole's rank to ``x``'s.  Other bytes: unspecified."""
+    used = len(pattern) - 1
+    fresh = bytes.maketrans(pattern, _RANKS[:used + 1])
+    h = fresh[_HOLE]
     tables = []
-    for x in range(mask.bit_length()):
+    for x in range(used):
         if mask >> x & 1:
-            first = dict.fromkeys(pattern.replace(bytes((_HOLE,)), bytes((x,))))
-            table = bytearray(256)
-            for rank, c in enumerate(first):
-                table[c] = rank
-            table[_HOLE] = table[x]
-            tables.append(bytes(table))
+            key = h, fresh[x]
+            if key not in merges:
+                lo, hi = sorted(key)
+                merges[key] = _RANKS[:hi] + bytes((lo,)) + _RANKS[hi:-1]
+            tables.append(fresh.translate(merges[key]))
+    if mask >> used:
+        tables.append(fresh)
     return tables
 
 
@@ -446,7 +456,7 @@ def enumerate_strict_colorings(h: MixedHypergraph,
     if limit is not None:
         del rows[limit:]
     if collect:
-        rows = list(map(tuple, rows))
+        rows = list(iter_unpack(f"{n}B", b"".join(rows)))
     return EnumerationReport(_canonical_partitions(rows), spectrum, spectrum.feasible,
                              searcher.nodes)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.colorings import (ChromaticSpectrum, _Searcher,
+from bihyper.colorings import (ChromaticSpectrum, _leaf_tables, _Searcher,
                                chromatic_spectrum, default_vertex_order,
                                enumerate_strict_colorings, feasible_set, is_one_realization,
                                iter_strict_colorings)
@@ -296,6 +296,20 @@ def is_restricted_growth(labels) -> bool:
     return True
 
 
+def _rank_loop_tables(pattern: bytes, mask: int) -> list[bytes]:
+    """The leaf tables as a per-rank loop builds them: a reference for ``_leaf_tables``."""
+    tables = []
+    for x in range(mask.bit_length()):
+        if mask >> x & 1:
+            first = dict.fromkeys(pattern.replace(b"\xff", bytes((x,))))
+            table = bytearray(256)
+            for rank, c in enumerate(first):
+                table[c] = rank
+            table[255] = table[x]
+            tables.append(bytes(table))
+    return tables
+
+
 class TestCanonicalOutput:
     """Reported colorings skip Partition's relabeling, so pin that they are canonical."""
 
@@ -310,6 +324,36 @@ class TestCanonicalOutput:
                 assert p == rebuilt and p.labels == rebuilt.labels
                 assert hash(p) == hash(rebuilt)
                 assert pickle.loads(pickle.dumps(p)) == rebuilt
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_leaf_tables_canonicalize_every_leaf(self, data):
+        # parents as the walk leaves them: restricted-growth labels in a shuffled
+        # search order, the hole byte 255 at its last vertex; a report shares its
+        # merge tables across parents, so these do too
+        merges = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(1, 12))
+            order = data.draw(st.permutations(range(n)))
+            labels, used = [255] * n, 0
+            for v in order[:-1]:
+                labels[v] = data.draw(st.integers(0, used))
+                used += labels[v] == used
+            parent = bytes(labels)
+            pattern = bytes(dict.fromkeys(parent))
+            every = (2 << used) - 1
+            tables = _leaf_tables(pattern, every, merges)
+            assert len(tables) == used + 1
+            for x, (table, old) in enumerate(zip(tables, _rank_loop_tables(pattern, every))):
+                leaf = [x if c == 255 else c for c in labels]
+                assert parent.translate(table) == bytes(Partition(leaf).labels)
+                # bytes outside the pattern map to themselves here and to 0 in
+                # the loop; a parent holds none, so no translate reads them
+                assert [table[c] for c in pattern] == [old[c] for c in pattern]
+            # a partial mask keeps its classes' tables, ascending
+            mask = data.draw(st.integers(1, every))
+            assert _leaf_tables(pattern, mask, merges) == [
+                t for x, t in enumerate(tables) if mask >> x & 1]
 
     def test_lazy_colorings_are_restricted_growth(self, rng):
         for _ in range(20):
@@ -371,6 +415,17 @@ class TestCanonicalOutput:
                                                      tuple(range(n))]
         assert rep.spectrum.counts == (0,) * (n - 2) + (1, 1)
         assert all(p == Partition(p.labels) for p in rep.colorings)
+
+    def test_hole_merges_into_rank_255(self):
+        # vertex 0 is the hole, at rank 0, and vertex 255 holds rank 255: sharing
+        # its class merges the last rank into the first
+        n = 256
+        h = build_hypergraph(n, [], [e for e in combinations(range(n), 2) if e != (0, 255)])
+        rep = enumerate_strict_colorings(h, order=tuple(range(1, n)) + (0,))
+        assert [p.labels for p in rep.colorings] == [tuple(range(n - 1)) + (0,),
+                                                     tuple(range(n))]
+        assert rep.spectrum.counts[-3:] == (0, 1, 1)
+        assert rep.nodes_explored == 32_896
 
     def test_more_than_255_classes(self):
         # complete D-graph: only the all-distinct coloring; labels must not be capped at a byte
@@ -528,7 +583,7 @@ class TestParallel:
 
         added = loaded("import bihyper") - loaded("pass")
         allowed = {"__future__", "json", "json.decoder", "json.encoder", "json.scanner",
-                   "_json"}
+                   "_json", "struct", "_struct"}  # struct: reports unpack their rows in C
         assert "bihyper.model" in added
         assert sorted(m for m in added
                       if m not in allowed and m.split(".")[0] != "bihyper") == []
