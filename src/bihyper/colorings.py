@@ -504,9 +504,10 @@ def is_one_realization(h: MixedHypergraph, target: Iterable[int],
     coloring at some class count, or any coloring whose class count lies
     outside the target set.
     """
-    wanted = set(target)
-    if not wanted or not set(map(type, wanted)) <= {int} or min(wanted) < 1:
+    entries = tuple(target)
+    if not entries or not set(map(type, entries)) <= {int} or min(entries) < 1:
         raise ValueError("target must be a nonempty set of integers >= 1")
+    wanted = set(entries)
     goal = tuple(sorted(wanted))
     seen: dict[int, Partition] = {}
     for p in iter_strict_colorings(h, order):

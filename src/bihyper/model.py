@@ -95,9 +95,7 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
     for raw, verts in zip(raws, rows + [None]):
         if verts is None:  # reading this row raised TypeError
             raise ValueError(f"{kind}-edge {raw!r}: an edge must be an iterable of vertex indices")
-        if not set(map(type, verts)) <= {int}:
-            bad = next(v for v in verts if type(v) is not int)
-            raise ValueError(f"{kind}-edge {verts}: vertex {bad!r} is not an integer")
+        _check_ints(verts, f"{kind}-edge {verts}: vertex")
         if len(set(verts)) != len(verts):
             raise ValueError(f"{kind}-edge {verts}: repeated vertex inside the edge")
         if len(verts) < 2:

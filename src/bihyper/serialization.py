@@ -7,21 +7,20 @@ value is normalized.  Labeled constructions embed their label tuples and
 enough metadata to rebuild the construction record; plain hypergraphs
 carry only indices.  ``serialize`` writes the lines straight from the
 value, each list of rows by one encoder call; a bi family is encoded once
-and written for both edge keys.  ``parse`` accepts a list of integer rows
-in one pass; no record sits between a value and its text.
+and written for both edge keys.
 
 ``parse`` trusts nothing in a document: every field is checked, a field
 ``serialize`` never writes (``s`` on a plain document included) is
 refused, and the ``bi`` and ``unproven_regime`` fields must agree with
-what the families and ``(variant, spec)`` imply.  The metadata must hold exactly what
-``serialize`` writes: nothing for a plain document; for a labeled one the
-strings ``feasible_set`` (as ``str(spec)`` writes it), ``variant`` and,
-only when it reads ``"true"``, ``unproven_regime``.  What ``parse``
-normalizes by design is order: edges, the vertices within an edge, and
-label rows may come unsorted, and are written back sorted.  A bi
-document's family is normalized once and shared by both edge families,
-and the labels, once checked, are wrapped by the trusted
-``construction._labeled_vertices``.
+what the families and ``(variant, spec)`` imply.  The edge rows go straight
+to the model's public builders, which check each row once and name a bad
+edge; equal C and D rows become one bi family, shared by both.  The
+metadata must hold exactly what ``serialize`` writes: nothing for a plain
+document; for a labeled one the strings ``feasible_set`` (as ``str(spec)``
+writes it), ``variant`` and, only when it reads ``"true"``,
+``unproven_regime``.  What ``parse`` normalizes by design is order: edges,
+the vertices within an edge, and label rows may come unsorted, and are
+written back sorted.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ import json
 from itertools import chain
 from operator import gt, itemgetter, le
 
-from .construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex, _labeled_vertices,
-                           _unproven_regime)
-from .model import MixedHypergraph, _normalize_family, _normalized_hypergraph, build_hypergraph
+from .construction import (VARIANTS, FeasibleSpec, LabeledHypergraph, LabeledVertex,
+                           _labeled_vertices, _unproven_regime)
+from .model import MixedHypergraph, build_bi_hypergraph, build_hypergraph
 
 FORMAT_VERSION = 1
 _PLAIN_KEYS = {"format_version", "bi", "vertex_count", "c_edges", "d_edges", "metadata"}
@@ -52,7 +51,7 @@ def serialize(value: MixedHypergraph | LabeledHypergraph) -> str:
              f'  "vertex_count": {h.vertex_count},']
     metadata = {}
     if labeled:
-        rows = [label.coords + (label.flag,) for label in value.labels]
+        rows = [label.full for label in value.labels]
         lines += [f'  "s": {value.spec.s},', f'  "labels": {_inline(rows)},']
         metadata = {"feasible_set": str(value.spec), "variant": value.variant}
         if value.unproven_regime:
@@ -75,38 +74,29 @@ def _take(doc: dict, key: str, types: tuple, required: bool = True):
     return value
 
 
-def _integers(values: list) -> bool:
+def _integers(values) -> bool:
     """Whether every entry is a JSON integer; ``true`` and ``false`` load as bool, not int."""
-    return all(type(x) is int for x in values)
-
-
-def _edge_list(doc: dict, key: str) -> list[list[int]]:
-    raw = _take(doc, key, (list,))
-    if set(map(type, raw)) <= {list} and set(map(type, chain.from_iterable(raw))) <= {int}:
-        return raw
-    for pos, edge in enumerate(raw):
-        if not isinstance(edge, list) or not _integers(edge):
-            raise ValueError(f"{key}[{pos}]: an edge must be a list of integers")
-    return raw
+    return set(map(type, values)) <= {int}
 
 
 def _build(vertex_count: int, c_rows: list, d_rows: list) -> MixedHypergraph:
-    """``build_hypergraph``, normalizing the rows of a bi document once."""
-    if c_rows != d_rows:
-        return build_hypergraph(vertex_count, c_rows, d_rows)
-    family = _normalize_family(c_rows, vertex_count, "C")
-    return _normalized_hypergraph(vertex_count, family, family)
+    """One bi family for rows equal as JSON (in Python, 1 == 1.0 == True), else two."""
+    if c_rows == d_rows:
+        h = build_bi_hypergraph(vertex_count, c_rows)  # passes int lists only, so d_rows are lists
+        if _integers(chain.from_iterable(d_rows)):
+            return h
+    return build_hypergraph(vertex_count, c_rows, d_rows)
 
 
 def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     """Parse a document back into a normalized value.
 
     Raises ValueError with a line diagnostic for malformed syntax and a
-    field diagnostic for semantic problems (out-of-range indices, duplicate
-    labels, a bi claim with mismatched families, ...).  Label rows are checked
-    in bulk by C-level passes (width, int entries, flags in {0, 1}, coordinates
-    >= 1, duplicates, per-position bounds); only when a pass fails does a
-    per-label loop run, to name the first bad label.
+    field diagnostic for semantic problems (a bad edge, named by the model's
+    builders, duplicate labels, a bi claim with mismatched families, ...).
+    Label rows are checked in bulk by C-level passes (width, int entries,
+    flags in {0, 1}, coordinates >= 1, duplicates, per-position bounds); only
+    when a pass fails does a per-label loop run, to name the first bad label.
     """
     try:
         doc = json.loads(text)
@@ -114,11 +104,10 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError(f"malformed document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed document: top level must be an object")
-    labeled = "labels" in doc
-    unknown = doc.keys() - _PLAIN_KEYS - ({"s", "labels"} if labeled else set())
+    kind = "labeled" if "labels" in doc else "plain"
+    unknown = doc.keys() - _PLAIN_KEYS - ({"s", "labels"} if kind == "labeled" else set())
     if unknown:
-        raise ValueError(f"{min(unknown)}: not a field of a {'labeled' if labeled else 'plain'} "
-                         f"document")
+        raise ValueError(f"{min(unknown)}: not a field of a {kind} document")
 
     version = _take(doc, "format_version", (int,))
     if version != FORMAT_VERSION:
@@ -129,7 +118,7 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError("vertex_count: must be nonnegative")
 
     try:
-        h = _build(vertex_count, _edge_list(doc, "c_edges"), _edge_list(doc, "d_edges"))
+        h = _build(vertex_count, _take(doc, "c_edges", (list,)), _take(doc, "d_edges", (list,)))
     except ValueError as exc:
         raise ValueError(f"edges: {exc}") from exc
     if bi != h.is_bi():
@@ -180,7 +169,7 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
     if written != str(spec):
         raise ValueError(f"metadata: feasible_set {written!r} is written {str(spec)!r}")
     variant = metadata["variant"]
-    if variant not in ("I", "II"):
+    if variant not in VARIANTS:
         raise ValueError(f"metadata: unknown variant {variant!r}")
     if spec.s != s:
         raise ValueError(f"s: {s} does not match the {spec.s} counts in metadata")

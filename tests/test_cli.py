@@ -140,7 +140,7 @@ class TestVerify:
         path = tmp_path / "h.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "--set", "3,2"]) == 2
-        assert "an edge must be a list of integers" in capsys.readouterr().err
+        assert "vertex True is not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
         ("bi", False, "claims not bi but C- and D-families are equal"),

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter, deque
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -835,3 +835,12 @@ class TestOneRealization:
     def test_non_integer_target_rejected(self, target):
         with pytest.raises(ValueError, match="target must be a nonempty set of integers >= 1"):
             is_one_realization(build_hypergraph(3), target)
+
+    @pytest.mark.parametrize("target", [[2, 3, 2.0], [3, 2, True], [1, True]])
+    def test_target_check_ignores_entry_order(self, target):
+        # 2.0 == 2 and True == 1, so a set taken first kept whichever entry came first
+        h = construct([3, 2]).hypergraph
+        for entries in permutations(target):
+            with pytest.raises(ValueError, match="target must be a nonempty set of integers"):
+                is_one_realization(h, entries)
+        assert is_one_realization(h, [3, 2, 3]).ok

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,7 +178,8 @@ class TestParseErrors:
         # JSON booleans load as bool, a subclass of int; they must not pass as vertices 1 and 0
         doc = json.loads(serialize(build_bi_hypergraph(3, [[0, 1, 2]])))
         doc["c_edges"] = doc["d_edges"] = [[True, False, 2]]
-        with pytest.raises(ValueError, match=r"c_edges\[0\]: an edge must be a list of integers"):
+        message = r"edges: bi-edge \[True, False, 2\]: vertex True is not an integer"
+        with pytest.raises(ValueError, match=message):
             parse(json.dumps(doc))
 
     def test_boolean_label_entry(self):
@@ -279,7 +281,7 @@ class TestNormalizationOnParse:
         assert h == built.hypergraph and h.c_edges is h.d_edges
 
     @pytest.mark.parametrize("c_rows, d_rows, message", [
-        ([[0, 0, 1]], [[0, 0, 1]], r"edges: C-edge \[0, 0, 1\]: repeated vertex"),
+        ([[0, 0, 1]], [[0, 0, 1]], r"edges: bi-edge \[0, 0, 1\]: repeated vertex"),
         ([[0, 1, 2]], [[0, 1, 5]], r"edges: D-edge \[0, 1, 5\]: vertex 5 out of range"),
         ([[0, 1, 7]], [[0, 1, 5]], r"edges: C-edge \[0, 1, 7\]: vertex 7 out of range"),
     ])
@@ -359,10 +361,31 @@ class TestParseFuzz:
             parse(json.dumps(doc))
 
 
+def _edge_list(doc: dict, key: str) -> list[list[int]]:
+    """``serialization._edge_list`` before the edge rows went straight to the builders."""
+    from bihyper.serialization import _integers, _take
+
+    raw = _take(doc, key, (list,))
+    if set(map(type, raw)) <= {list} and set(map(type, chain.from_iterable(raw))) <= {int}:
+        return raw
+    for pos, edge in enumerate(raw):
+        if not isinstance(edge, list) or not _integers(edge):
+            raise ValueError(f"{key}[{pos}]: an edge must be a list of integers")
+    return raw
+
+
+def _build(vertex_count: int, c_rows: list, d_rows: list) -> model.MixedHypergraph:
+    """``serialization._build`` as it was beside ``_edge_list``."""
+    if c_rows != d_rows:
+        return build_hypergraph(vertex_count, c_rows, d_rows)
+    family = model._normalize_family(c_rows, vertex_count, "C")
+    return model._normalized_hypergraph(vertex_count, family, family)
+
+
 def _reference_parse(text):
     """``parse`` as it was before the bulk label check: one LabeledVertex per label row."""
     from bihyper.construction import FeasibleSpec, LabeledHypergraph, LabeledVertex
-    from bihyper.serialization import _build, _edge_list, _integers, _take
+    from bihyper.serialization import _integers, _take
 
     try:
         doc = json.loads(text)
@@ -468,6 +491,65 @@ def _mutate_label_rows(data, doc) -> None:
             doc[key] = [[new_of_old[v] for v in e] for e in doc[key]]
 
 
+# Edge values near and far from valid vertices; 1.0 and True compare equal to 1
+_EDGE_VALUES = [True, False, None, 1.0, 2.5, "1", "", {}, {"0": 1}, [0, 1], [], 10**30]
+
+
+def _random_row(rng, n):
+    row = [rng.randrange(-1, n + 2) for _ in range(rng.choice((0, 1, 2, 3, 3, 3, 4)))]
+    if rng.random() < 0.15 and row:
+        row[rng.randrange(len(row))] = rng.choice(_EDGE_VALUES)
+    return row if rng.random() > 0.03 else rng.choice(_EDGE_VALUES)
+
+
+def _random_edge_document(rng):
+    """A plain document whose rows are often valid, equal in about 40 % of documents, and
+    sometimes equal to the C rows only as Python compares them, by a 1.0 or True."""
+    n = rng.randrange(0, 7)
+    c_rows = [_random_row(rng, n) for _ in range(rng.randrange(0, 5))]
+    roll = rng.random()
+    if roll < 0.4:
+        d_rows = json.loads(json.dumps(c_rows))
+    elif roll < 0.5:
+        d_rows = [[{0: False, 1: rng.choice((True, 1.0))}.get(v, v) if type(v) is int else v
+                   for v in row] if isinstance(row, list) else row for row in c_rows]
+    else:
+        d_rows = [_random_row(rng, n) for _ in range(rng.randrange(0, 5))]
+    doc = {"format_version": 1, "bi": c_rows == d_rows, "vertex_count": n,
+           "c_edges": c_rows, "d_edges": d_rows, "metadata": {}}
+    if rng.random() < 0.02:
+        doc[rng.choice(("c_edges", "d_edges"))] = rng.choice(_EDGE_VALUES[:-3])
+    return doc
+
+
+class TestEdgeRowsToBuilders:
+    """The builders accept exactly the edge rows the old type pass and private
+    bi path accepted, with the same values; only the messages differ."""
+
+    def test_outcomes_match_the_type_pass(self):
+        rng = random.Random(3401)
+        accepted = 0
+        for _ in range(4000):
+            doc = _random_edge_document(rng)
+            try:
+                expected = _build(doc["vertex_count"], _edge_list(doc, "c_edges"),
+                                  _edge_list(doc, "d_edges"))
+            except ValueError:
+                expected = None
+            if expected is not None:  # so that only the edge path can refuse the document
+                doc["bi"] = expected.is_bi()
+            try:
+                h = parse(json.dumps(doc))
+            except ValueError:
+                assert expected is None, doc
+                continue
+            assert h == expected, doc
+            accepted += 1
+            if doc["c_edges"] == doc["d_edges"]:
+                assert h.c_edges is h.d_edges
+        assert accepted > 400
+
+
 class TestBulkLabelCheck:
     """The bulk label check gives the per-label loop's value or its first message."""
 
@@ -510,7 +592,7 @@ class TestWorkDoneOnce:
         return calls
 
     def _normalize_calls(self, monkeypatch):
-        return self._counter(monkeypatch, (model, serialization), "_normalize_family")
+        return self._counter(monkeypatch, (model,), "_normalize_family")
 
     def test_construct_does_not_normalize_its_family(self, monkeypatch):
         calls = self._normalize_calls(monkeypatch)
