@@ -4,7 +4,10 @@ Exit codes: 0 = claim verified / command succeeded, 1 = claim refuted
 (a verification failed, or a witness turned up below the size bound),
 2 = usage or input error, 3 = search aborted on budget.  The default
 search budget can be overridden with the BIHYPER_BUDGET environment
-variable or the --budget flag.
+variable or the --budget flag.  A usage error is a ``ValueError``, raised
+by the library for every input it refuses or here for an unusable file,
+flag or environment value; ``main`` prints it as ``error: <message>`` and
+exits 2, and lets any other exception (an internal fault) propagate.
 """
 
 from __future__ import annotations
@@ -30,19 +33,15 @@ EXIT_BUDGET = 3
 BUDGET_ENV = "BIHYPER_BUDGET"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load(path: str) -> MixedHypergraph | LabeledHypergraph:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return parse(text)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def _plain(value: MixedHypergraph | LabeledHypergraph) -> MixedHypergraph:
@@ -61,39 +60,27 @@ def _print_partition(value, partition: Partition) -> None:
 
 
 def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
+    raw = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"{BUDGET_ENV}={raw!r} is not an integer")
-
-
-def _spec(text: str) -> FeasibleSpec:
-    try:
-        return FeasibleSpec.from_string(text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError(f"{BUDGET_ENV}={raw!r} is not an integer")
 
 
 def _cmd_formula(args) -> int:
-    print(min_size(_spec(args.set)))
+    print(min_size(FeasibleSpec.from_string(args.set)))
     return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
-    spec = _spec(args.set)
-    try:
-        built = construct(spec, args.variant, drop_special=args.drop_special)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = FeasibleSpec.from_string(args.set)
+    built = construct(spec, args.variant, drop_special=args.drop_special)
     text = serialize(built)
     if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}")
+            raise ValueError(f"cannot write {args.out}: {exc}")
         note = " (unproven regime)" if built.unproven_regime else ""
         print(f"wrote variant {built.variant} construction for {{{spec}}} with "
               f"{built.vertex_count} vertices to {args.out}{note}")
@@ -127,7 +114,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _spec(args.set)
+    spec = FeasibleSpec.from_string(args.set)
     value = _load(args.file)
     cert = is_one_realization(_plain(value), spec.values)
     if cert.ok:
@@ -142,22 +129,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_min_search(args) -> int:
-    spec = _spec(args.set)
+    spec = FeasibleSpec.from_string(args.set)
     bound = min_size(spec)
-    v_max = args.max_vertices if args.max_vertices is not None else bound - 1
     resume = None
     if args.resume:
         try:
             v_part, mask_part = args.resume.split(":")
             resume = (int(v_part), int(mask_part))
         except ValueError:
-            raise UsageError(f"--resume expects V:MASK, got {args.resume!r}")
+            raise ValueError(f"--resume expects V:MASK, got {args.resume!r}")
     budget = args.budget if args.budget is not None else _default_budget()
-    try:
-        report = certify_lower_bound(spec, v_max, budget=budget, resume=resume,
-                                     max_witnesses=args.max_witnesses)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = certify_lower_bound(spec, args.max_vertices, budget=budget, resume=resume,
+                                 max_witnesses=args.max_witnesses)
     for v in report.vertex_counts_searched:
         method = report.settled_by.get(v, METHOD_SCAN)
         by = "" if method == METHOD_SCAN else f" ({method})"
@@ -185,7 +168,7 @@ def _cmd_isocheck(args) -> int:
     try:
         raw = json.loads(Path(args.map).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read map {args.map}: {exc}")
+        raise ValueError(f"cannot read map {args.map}: {exc}")
     try:
         mapping: dict[int, int] = {}
         for a, b in raw:
@@ -195,7 +178,7 @@ def _cmd_isocheck(args) -> int:
         bijection = VertexBijection.from_mapping(mapping)
         ok = check_isomorphism_under_map(h1, h2, bijection)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"{args.map}: expected a JSON list of [from, to] pairs: {exc}")
+        raise ValueError(f"{args.map}: expected a JSON list of [from, to] pairs: {exc}")
     print("isomorphic under the supplied map" if ok else "map does not preserve the edge families")
     return EXIT_OK if ok else EXIT_REFUTED
 
@@ -254,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

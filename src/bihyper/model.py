@@ -74,7 +74,7 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
     one: ``serialize`` would write it as ``true``).  The rows are read once
     and checked in bulk by C-level passes (int vertices, 2 or more per row,
     none repeated, all in range).  If a row cannot be read or a check fails,
-    the per-edge loop names the first bad edge.
+    the per-edge loop, which applies the same checks, names the first bad edge.
     """
     if type(vertex_count) is not int or vertex_count < 0:
         raise ValueError(f"vertex_count must be a nonnegative int, got {vertex_count!r}")
@@ -91,7 +91,6 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
         deque(map(list.sort, rows), maxlen=0)  # the rows are this call's own copies
         # dict.fromkeys keeps the input order, so sorting a sorted family is linear
         return tuple(sorted(dict.fromkeys(map(tuple, rows))))
-    edges: set[tuple[int, ...]] = set()
     for raw, verts in zip(raws, rows + [None]):
         if verts is None:  # reading this row raised TypeError
             raise ValueError(f"{kind}-edge {raw!r}: an edge must be an iterable of vertex indices")
@@ -105,8 +104,7 @@ def _normalize_family(family: Iterable[Iterable[int]], vertex_count: int,
                 raise ValueError(
                     f"{kind}-edge {sorted(verts)}: vertex {v} out of range for "
                     f"vertex_count={vertex_count}")
-        edges.add(tuple(sorted(verts)))
-    return tuple(sorted(edges))
+    raise AssertionError(f"{kind}-edge family failed the bulk check, but no edge is at fault")
 
 
 class MixedHypergraph(_Record):
@@ -218,24 +216,6 @@ class Partition(_Record):
             if x not in relabel:
                 relabel[x] = len(relabel)
         object.__setattr__(self, "labels", tuple(relabel[x] for x in labels))
-
-    @classmethod
-    def from_classes(cls, classes: Iterable[Iterable[int]]) -> "Partition":
-        """Build from explicit classes, which must partition 0..n-1."""
-        assignment: dict[int, int] = {}
-        for label, cl in enumerate(classes):
-            members = list(cl)
-            if not members:
-                raise ValueError("empty class in partition")
-            for v in members:
-                if v in assignment:
-                    raise ValueError(f"vertex {v} appears in two classes")
-                assignment[v] = label
-        _check_ints(assignment, "vertex")
-        n = len(assignment)
-        if set(assignment) != set(range(n)):
-            raise ValueError("classes do not cover a dense vertex range 0..n-1")
-        return cls(tuple(assignment[v] for v in range(n)))
 
     def __reduce__(self) -> tuple:
         # pickle and copy would otherwise restore the slot by setattr, which is refused

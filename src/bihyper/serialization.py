@@ -15,9 +15,9 @@ refused, and the ``bi`` and ``unproven_regime`` fields must agree with
 what the families and ``(variant, spec)`` imply.  The edge rows go straight
 to the model's public builders, which check each row once and name a bad
 edge; equal C and D rows become one bi family, shared by both.  The
-metadata must hold exactly what ``serialize`` writes: nothing for a plain
-document; for a labeled one the strings ``feasible_set`` (as ``str(spec)``
-writes it), ``variant`` and, only when it reads ``"true"``,
+metadata is required and holds exactly what ``serialize`` writes: nothing
+for a plain document; for a labeled one the strings ``feasible_set`` (as
+``str(spec)`` writes it), ``variant`` and, only when it reads ``"true"``,
 ``unproven_regime``.  What ``parse`` normalizes by design is order: edges,
 the vertices within an edge, and label rows may come unsorted, and are
 written back sorted.
@@ -125,7 +125,7 @@ def parse(text: str) -> MixedHypergraph | LabeledHypergraph:
         raise ValueError("bi: document claims bi but C- and D-families differ" if bi else
                          "bi: document claims not bi but C- and D-families are equal")
 
-    metadata = _take(doc, "metadata", (dict,), required=False) or {}
+    metadata = _take(doc, "metadata", (dict,))
     raw_labels = _take(doc, "labels", (list,), required=False)
     if raw_labels is None:
         if metadata:

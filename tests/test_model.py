@@ -231,24 +231,6 @@ class TestPartition:
         assert Partition((2, 2, 0, 1)).labels == (0, 0, 1, 2)
         assert Partition(("b", "b", "a")).labels == (0, 0, 1)
 
-    def test_from_classes(self):
-        p = Partition.from_classes([[2, 3], [0], [1]])
-        assert p.labels == (0, 1, 2, 2)
-        assert p.classes() == ((0,), (1,), (2, 3))
-
-    def test_from_classes_rejects_gaps_and_overlap(self):
-        with pytest.raises(ValueError):
-            Partition.from_classes([[0], [2]])
-        with pytest.raises(ValueError):
-            Partition.from_classes([[0, 1], [1]])
-        with pytest.raises(ValueError):
-            Partition.from_classes([[0], []])
-
-    @pytest.mark.parametrize("classes", [[[0.0], [1]], [[0], [True]], [["0"]]])
-    def test_from_classes_rejects_non_int_vertices(self, classes):
-        with pytest.raises(ValueError, match="is not an integer"):
-            Partition.from_classes(classes)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Partition(())
@@ -279,9 +261,9 @@ class TestPartition:
         assert set(p.labels) == set(range(p.class_count))
 
     def test_merge_examples(self):
-        p = Partition.from_classes([[0], [1], [2, 3]])
-        assert p.merge_classes(0, 1) == Partition.from_classes([[0, 1], [2, 3]])
-        q = Partition.from_classes([[0, 1], [2]])
+        p = Partition((0, 1, 2, 2))
+        assert p.merge_classes(0, 1) == Partition((0, 0, 1, 1))
+        q = Partition((0, 0, 1))
         assert q.merge_classes(0, 1) == Partition((0, 0, 0))
 
     def test_merge_drops_exactly_one_class(self):

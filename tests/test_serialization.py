@@ -223,6 +223,14 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="feasible_set"):
             parse(json.dumps(doc))
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_document_needs_metadata(self, labeled):
+        # a plain document without the key parsed before, and serialize added it back
+        doc = json.loads(serialize(construct([4, 2]) if labeled else build_hypergraph(2)))
+        del doc["metadata"]
+        with pytest.raises(ValueError, match="^metadata: missing required field$"):
+            parse(json.dumps(doc))
+
     @pytest.mark.parametrize("variant, key, value, message", [
         # each parsed before, and serialize dropped or rewrote the value
         ("I", "unproven_regime", "false", 'unproven_regime is written only as "true", '
