@@ -8,8 +8,8 @@ instances.
 
 from .colorings import (ChromaticSpectrum, EnumerationReport,
                         OneRealizationCertificate, chromatic_spectrum,
-                        default_vertex_order, enumerate_strict_colorings,
-                        feasible_set, is_one_realization, iter_strict_colorings)
+                        enumerate_strict_colorings, is_one_realization,
+                        iter_strict_colorings)
 from .construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex,
                            ReductionMap, canonical_coloring, canonical_colorings,
                            construct, deleted_label, min_size, reduction_bijection,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChromaticSpectrum", "EnumerationReport", "OneRealizationCertificate",
-    "chromatic_spectrum", "default_vertex_order", "enumerate_strict_colorings",
-    "feasible_set", "is_one_realization", "iter_strict_colorings",
+    "chromatic_spectrum", "enumerate_strict_colorings", "is_one_realization",
+    "iter_strict_colorings",
     "FeasibleSpec", "LabeledHypergraph", "LabeledVertex", "ReductionMap",
     "canonical_coloring", "canonical_colorings", "construct", "deleted_label",
     "min_size", "reduction_bijection", "special_edge_labels",

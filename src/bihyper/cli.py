@@ -2,24 +2,22 @@
 
 Exit codes: 0 = claim verified / command succeeded, 1 = claim refuted
 (a verification failed, or a witness turned up below the size bound),
-2 = usage or input error, 3 = search aborted on budget.  The default
-search budget can be overridden with the BIHYPER_BUDGET environment
-variable or the --budget flag.  A usage error is a ``ValueError``, raised
-by the library for every input it refuses or here for an unusable file,
-flag or environment value; ``main`` prints it as ``error: <message>`` and
-exits 2, and lets any other exception (an internal fault) propagate.
+2 = usage or input error, 3 = search aborted on budget.  ``--budget`` is
+the one way to change min-search's default budget.  A usage error is a
+``ValueError``, raised by the library for every input it refuses or here
+for an unusable file or flag; ``main`` prints it as ``error: <message>``
+and exits 2, and lets any other exception (an internal fault) propagate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .colorings import enumerate_strict_colorings, is_one_realization
-from .construction import FeasibleSpec, LabeledHypergraph, construct, min_size
+from .construction import VARIANTS, FeasibleSpec, LabeledHypergraph, construct, min_size
 from .minimality import (DEFAULT_BUDGET, METHOD_SCAN, VERDICT_ABORTED, VERDICT_WITNESS,
                          _count, certify_lower_bound)
 from .model import MixedHypergraph, Partition, VertexBijection, check_isomorphism_under_map
@@ -29,8 +27,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-BUDGET_ENV = "BIHYPER_BUDGET"
 
 
 def _load(path: str) -> MixedHypergraph | LabeledHypergraph:
@@ -57,14 +53,6 @@ def _vertex_name(value, v: int) -> str:
 def _print_partition(value, partition: Partition) -> None:
     classes = (" ".join(_vertex_name(value, v) for v in cl) for cl in partition.classes())
     print(f"    {partition.class_count} classes: " + " | ".join(classes))
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV}={raw!r} is not an integer")
 
 
 def _cmd_formula(args) -> int:
@@ -138,8 +126,7 @@ def _cmd_min_search(args) -> int:
             resume = (int(v_part), int(mask_part))
         except ValueError:
             raise ValueError(f"--resume expects V:MASK, got {args.resume!r}")
-    budget = args.budget if args.budget is not None else _default_budget()
-    report = certify_lower_bound(spec, args.max_vertices, budget=budget, resume=resume,
+    report = certify_lower_bound(spec, args.max_vertices, budget=args.budget, resume=resume,
                                  max_witnesses=args.max_witnesses)
     for v in report.vertex_counts_searched:
         method = report.settled_by.get(v, METHOD_SCAN)
@@ -195,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a minimum one-realization and serialize it")
     p.add_argument("--set", required=True, metavar="N1,N2,...")
-    p.add_argument("--variant", default="auto", choices=["I", "II", "auto"])
+    p.add_argument("--variant", default="auto", choices=[*VARIANTS, "auto"])
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--drop-special", action="store_true",
                    help="omit the explicit flag-monochromatic edge")
@@ -215,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, metavar="N1,N2,...")
     p.add_argument("--max-vertices", type=int, default=None)
     p.add_argument("--resume", metavar="V:MASK")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"masks scanned per run (default {DEFAULT_BUDGET} or ${BUDGET_ENV})")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"masks scanned per run (default {DEFAULT_BUDGET})")
     p.add_argument("--max-witnesses", type=int, default=1)
     p.set_defaults(func=_cmd_min_search)
 

@@ -136,8 +136,9 @@ class EnumerationReport(_Record):
 class _Searcher:
     """Backtracking state: one instance per (hypergraph, vertex order).
 
-    Without an ``order`` it plans :func:`default_vertex_order` in the pass
-    that fills ``closing``.
+    Without an ``order`` it plans the edge-closing order of the module
+    docstring in the pass that fills ``closing``; ``order`` holds the order
+    used either way.  That order is internal: callers fix one with ``order=``.
     """
 
     def __init__(self, h: MixedHypergraph, order: Sequence[int] | None = None):
@@ -357,19 +358,6 @@ class _Searcher:
                 yield Partition(labels)
 
 
-def default_vertex_order(h: MixedHypergraph) -> tuple[int, ...]:
-    """The edge-closing order the search uses when no order is given.
-
-    The last depth is reserved for the vertex of least edge degree, the
-    highest index among ties: the vertex a descending-degree order puts last.
-    Each other depth takes the unplaced vertex that maximizes, in order, the
-    edges it would close, the edges it touches that already hold a placed
-    vertex, and its degree; ties go to the lowest index.  Without edges
-    this is ``range(n)``.
-    """
-    return _Searcher(h).order
-
-
 def _checked_order(h: MixedHypergraph, order: Sequence[int] | None) -> tuple[int, ...] | None:
     """``order`` as a tuple, or ``None`` for the default; anything else is refused."""
     if order is None:
@@ -463,10 +451,6 @@ def enumerate_strict_colorings(h: MixedHypergraph,
 
 def chromatic_spectrum(h: MixedHypergraph) -> ChromaticSpectrum:
     return enumerate_strict_colorings(h, limit=0).spectrum
-
-
-def feasible_set(h: MixedHypergraph) -> tuple[int, ...]:
-    return enumerate_strict_colorings(h, limit=0).feasible
 
 
 class OneRealizationCertificate(_Record):

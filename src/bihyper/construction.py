@@ -231,14 +231,14 @@ def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int,
     each position.
 
     Per-pair bitmask rule: ``rows[i][j]`` is the bitmask of the vertices whose
-    j-th entry equals vertex i's.  For a pair ``a < b`` with masks ``A`` and
-    ``B`` at position j, the third vertex ``c > b`` must differ from both when
-    the values are equal (clear ``A``) and repeat one of them otherwise (AND
-    with ``A | B``).  Equal values give ``A == B`` and different values give
+    j-th entry equals vertex i's.  A pair ``a < b`` starts from ``above[b]``,
+    the vertices ``c > b``, so equal rows end too.  For masks ``A`` and ``B``
+    at position j, the third vertex must differ from both when the values
+    are equal (clear ``A``) and repeat one of them otherwise (AND with
+    ``A | B``).  Equal values give ``A == B`` and different values give
     disjoint masks, where ``A ^ B == A | B``; so each position is one step,
     ``mask &= A ^ B or ~A``.  The set bits left are exactly the valid ``c``;
     emitting them low to high keeps the ``itertools.combinations`` order.
-    Labels are distinct, so some position differs and every mask ends finite.
     Most pairs lose every candidate within a few positions, so the scan stops
     at the first empty mask.
     """
@@ -248,9 +248,9 @@ def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int,
         for column, x in zip(holders, full):
             column[x] = column.get(x, 0) | bit
     rows = [tuple(map(dict.__getitem__, holders, full)) for full in fulls]
-    edges = []
+    edges, above = [], [(1 << len(rows)) - (2 << b) for b in range(len(rows))]
     for a, b in combinations(range(len(rows)), 2):
-        mask = -1 << (b + 1)
+        mask = above[b]
         for A, B in zip(rows[a], rows[b]):
             mask &= A ^ B or ~A
             if not mask:

@@ -235,11 +235,14 @@ class TestMinSearch:
         assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
                      "--resume", "4:8"]) == 0
 
-    def test_env_budget_override(self, capsys, monkeypatch):
+    def test_budget_comes_only_from_the_flag(self, capsys, monkeypatch):
+        # BIHYPER_BUDGET is not read: only --budget sets the budget
         monkeypatch.setenv("BIHYPER_BUDGET", "10")
-        assert main(["min-search", "--set", "3,2", "--max-vertices", "4"]) == 3
-        monkeypatch.setenv("BIHYPER_BUDGET", "not-a-number")
-        assert main(["min-search", "--set", "3,2", "--max-vertices", "4"]) == 2
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4"]) == 0
+        assert "certified-none" in capsys.readouterr().out
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
+                     "--budget", "10"]) == 3
+        assert "resume with --resume 4:8\n" in capsys.readouterr().out
 
     def test_default_max_vertices(self, capsys):
         assert main(["min-search", "--set", "3,2"]) == 0
@@ -250,11 +253,9 @@ class TestMinSearch:
         assert main(["min-search", "--set", "3,2", "--resume", "nope"]) == 2
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_budget_below_one(self, capsys, monkeypatch, budget):
+    def test_budget_below_one(self, capsys, budget):
         assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
                      "--budget", budget]) == 2
-        monkeypatch.setenv("BIHYPER_BUDGET", budget)
-        assert main(["min-search", "--set", "3,2", "--max-vertices", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: budget must be at least 1")
         assert "resume" not in captured.out

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bihyper.colorings import (ChromaticSpectrum, _leaf_tables, _Searcher,
-                               chromatic_spectrum, default_vertex_order,
-                               enumerate_strict_colorings, feasible_set, is_one_realization,
-                               iter_strict_colorings)
+                               chromatic_spectrum, enumerate_strict_colorings,
+                               is_one_realization, iter_strict_colorings)
 from bihyper.construction import canonical_colorings, construct
 from bihyper.model import Partition, build_bi_hypergraph, build_hypergraph, is_proper
 
@@ -79,7 +78,6 @@ class TestSmallExamples:
         assert rep.colorings == tuple(brute_force_colorings(h))
         assert rep.spectrum.counts == (0, 3)
         assert rep.feasible == (2,)
-        assert feasible_set(h) == (2,)
 
     def test_single_d_edge(self):
         h = build_hypergraph(3, [], [[0, 1, 2]])
@@ -282,7 +280,7 @@ class TestBiEdgeFastPath:
         apart = build_hypergraph(v, edges, [list(e) for e in edges])
         assert apart == h and (apart.c_edges is not apart.d_edges or not edges)
         assert enumerate_strict_colorings(apart).nodes_explored == rep.nodes_explored
-        order = default_vertex_order(h)
+        order = _Searcher(h).order
         assert _walk_nodes(_Searcher(h, order)) == _walk_nodes(_EdgeByEdge(h, order))
 
 
@@ -504,7 +502,7 @@ class TestOrderAndDeterminism:
         h = build_hypergraph(0)
         assert enumerate_strict_colorings(h, order=[]) == enumerate_strict_colorings(h)
         assert list(iter_strict_colorings(h, ())) == []
-        assert default_vertex_order(h) == ()
+        assert _Searcher(h).order == ()
 
     @pytest.mark.parametrize("limit", [-1, -15])
     def test_negative_limit_rejected(self, limit):
@@ -686,29 +684,29 @@ class TestEdgeClosingOrder:
     def test_matches_the_rule(self, rng):
         for _ in range(150):
             h = random_mixed_hypergraph(rng, v_min=0, v_max=10)
-            assert default_vertex_order(h) == _closing_order_reference(h)
+            assert _Searcher(h).order == _closing_order_reference(h)
         for spec in ([4, 2], [10, 9, 2], [12, 5, 2], [20, 19]):
             h = construct(spec).hypergraph
-            assert default_vertex_order(h) == _closing_order_reference(h)
+            assert _Searcher(h).order == _closing_order_reference(h)
 
     def test_matches_the_rule_on_larger_hypergraphs(self, rng):
         for _ in range(100):
             h = random_mixed_hypergraph(rng, v_min=2, v_max=10)
-            assert default_vertex_order(h) == _closing_order_reference(h)
+            assert _Searcher(h).order == _closing_order_reference(h)
         for bi in (False, True):
             v = 120
             edges = [rng.sample(range(v), 3 if bi else rng.choice((2, 3, 4)))
                      for _ in range(2 * v)]
             h = (build_bi_hypergraph(v, edges) if bi
                  else build_hypergraph(v, edges[::2], edges[1::2]))
-            assert default_vertex_order(h) == _closing_order_reference(h)
+            assert _Searcher(h).order == _closing_order_reference(h)
 
     def test_matches_the_rule_on_hubs_and_long_paths(self):
         # a hub raises every other vertex at once; a path raises one per depth
         for h in (build_hypergraph(301, (), [(0, i) for i in range(1, 301)]),
                   build_hypergraph(300, [(i, i + 1) for i in range(299)], ()),
                   construct([40, 39]).hypergraph):
-            assert default_vertex_order(h) == _closing_order_reference(h)
+            assert _Searcher(h).order == _closing_order_reference(h)
 
     def test_planning_stays_fast_at_scale(self):
         # one argmin per depth makes planning quadratic in n; a loose bound
@@ -721,7 +719,7 @@ class TestEdgeClosingOrder:
             assert time.perf_counter() - start < 1.0
 
     def test_edgeless_order_is_the_index_order(self):
-        assert default_vertex_order(build_hypergraph(7)) == tuple(range(7))
+        assert _Searcher(build_hypergraph(7)).order == tuple(range(7))
 
     def test_reports_and_certificates_do_not_depend_on_it(self):
         # every S with n1 <= 8 in the three builds: the same colorings and
@@ -743,7 +741,7 @@ class TestEdgeClosingOrder:
         # spectrum workload's row work is the same as under the degree order
         for v, c_edges, d_edges in _spectrum_pool()[::20]:
             h = build_hypergraph(v, c_edges, d_edges)
-            assert default_vertex_order(h)[-1] == _degree_order(h)[-1]
+            assert _Searcher(h).order[-1] == _degree_order(h)[-1]
 
     def test_large_constructions_verify_quickly(self):
         # under the degree order each of these takes hours; n1 = 64 takes milliseconds

@@ -3,11 +3,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bihyper.colorings import (chromatic_spectrum, enumerate_strict_colorings,
                                is_one_realization)
@@ -15,10 +16,12 @@ from bihyper.construction import (FeasibleSpec, LabeledHypergraph, LabeledVertex
                                   _coordinate_rule_edges, canonical_coloring,
                                   canonical_colorings, construct, deleted_label, min_size,
                                   reduction_bijection, special_edge_labels)
-from bihyper.minimality import certify_lower_bound
+from bihyper.minimality import _partition_table, certify_lower_bound
 from bihyper.model import (build_bi_hypergraph, check_isomorphism_under_map,
                            induced_subhypergraph, is_proper)
 from bihyper.serialization import parse, serialize
+
+from conftest import all_partitions
 
 
 def all_specs(n1_max: int, sizes=(2, 3, 4)) -> list[FeasibleSpec]:
@@ -29,11 +32,16 @@ def all_specs(n1_max: int, sizes=(2, 3, 4)) -> list[FeasibleSpec]:
     return out
 
 
+def two_values_per_position(fulls) -> list[tuple[int, int, int]]:
+    """Every triple of rows showing exactly two values in each column, in combinations
+    order, by direct scan."""
+    return [(a, b, c) for a, b, c in combinations(range(len(fulls)), 3)
+            if all(len({x, y, z}) == 2 for x, y, z in zip(fulls[a], fulls[b], fulls[c]))]
+
+
 def coordinate_rule_oracle(labels) -> set[tuple[int, int, int]]:
-    """Every triple of labels with exactly two distinct values per position, by direct scan."""
-    fulls = [label.full for label in labels]
-    return {(a, b, c) for a, b, c in combinations(range(len(fulls)), 3)
-            if all(len({x, y, z}) == 2 for x, y, z in zip(fulls[a], fulls[b], fulls[c]))}
+    """Every triple of labels with exactly two distinct values per position."""
+    return set(two_values_per_position([label.full for label in labels]))
 
 
 class TestFeasibleSpec:
@@ -438,7 +446,28 @@ class TestTrustedPaths:
         # any distinct labels, not only constructions: the per-pair scan, which stops
         # at the first empty mask, must emit exactly the two-values-per-position
         # triples, in combinations order
-        expected = [(a, b, c) for a, b, c in combinations(range(len(fulls)), 3)
-                    if all(len({x, y, z}) == 2
-                           for x, y, z in zip(fulls[a], fulls[b], fulls[c]))]
-        assert _coordinate_rule_edges(fulls) == expected
+        assert _coordinate_rule_edges(fulls) == two_values_per_position(fulls)
+
+
+class TestCoordinateRuleOnRepeatedRows:
+    """The rule is total: equal rows, which no construction builds, still end every scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.tuples(*[st.integers(1, 3)] * width), min_size=1, max_size=12)))
+    @example([(1, 1), (1, 1), (2, 2)])
+    @example([(1,)] * 5)
+    def test_matches_a_brute_force_scan(self, fulls):
+        assert _coordinate_rule_edges(fulls) == two_values_per_position(fulls)
+
+    @pytest.mark.parametrize("v", range(3, 8))
+    def test_partition_table_is_its_complement(self, v):
+        # the minimality scan's table marks a triple bad unless it shows exactly two
+        # classes; over one column of class labels that is the rule's complement
+        triples = {t: i for i, t in enumerate(combinations(range(v), 3))}
+        expected = Counter()
+        for p in all_partitions(v):
+            good = sum(1 << triples[t] for t in _coordinate_rule_edges(
+                [(label,) for label in p.labels]))
+            expected[((1 << len(triples)) - 1) ^ good, p.class_count] += 1
+        assert Counter(_partition_table(v)) == expected

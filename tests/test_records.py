@@ -16,8 +16,8 @@ import pytest
 import bihyper
 from bihyper import (ChromaticSpectrum, EnumerationReport, FeasibleSpec, LabeledHypergraph,
                      LabeledVertex, MixedHypergraph, OneRealizationCertificate, Partition,
-                     ReductionMap, SearchReport, VertexBijection, construct, minimality, model,
-                     serialization)
+                     ReductionMap, SearchReport, VertexBijection, colorings, construct,
+                     minimality, model, serialization)
 
 
 def _edge():
@@ -209,10 +209,10 @@ PUBLIC_NAMES = [
     "Partition", "ReductionMap", "SearchReport", "VERDICT_ABORTED", "VERDICT_NONE",
     "VERDICT_WITNESS", "VertexBijection", "build_bi_hypergraph", "build_hypergraph",
     "canonical_coloring", "canonical_colorings", "certify_lower_bound",
-    "check_isomorphism_under_map", "chromatic_spectrum", "construct", "default_vertex_order",
-    "deleted_label", "enumerate_strict_colorings", "feasible_set", "induced_subhypergraph",
-    "is_one_realization", "is_proper", "iter_strict_colorings", "min_size", "parse",
-    "reduction_bijection", "serialize", "special_edge_labels",
+    "check_isomorphism_under_map", "chromatic_spectrum", "construct", "deleted_label",
+    "enumerate_strict_colorings", "induced_subhypergraph", "is_one_realization", "is_proper",
+    "iter_strict_colorings", "min_size", "parse", "reduction_bijection", "serialize",
+    "special_edge_labels",
 ]
 
 # names deleted because nothing in the package used them, each with its old owner
@@ -222,6 +222,7 @@ DELETED = [
     (MixedHypergraph, "bi_edges"), (MixedHypergraph, "is_3_uniform"),
     (Partition, "restrict"), (VertexBijection, "inverse"),
     (LabeledHypergraph, "index_of"), (serialization, "HypergraphDocument"),
+    (colorings, "feasible_set"), (colorings, "default_vertex_order"),
 ]
 
 
