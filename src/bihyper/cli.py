@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .colorings import enumerate_strict_colorings, is_one_realization
-from .construction import VARIANTS, FeasibleSpec, LabeledHypergraph, construct, min_size
+from .construction import VARIANTS, FeasibleSpec, LabeledHypergraph, _decimals, construct, min_size
 from .minimality import (DEFAULT_BUDGET, METHOD_SCAN, VERDICT_ABORTED, VERDICT_WITNESS,
                          _count, certify_lower_bound)
 from .model import MixedHypergraph, Partition, VertexBijection, check_isomorphism_under_map
@@ -45,9 +45,7 @@ def _plain(value: MixedHypergraph | LabeledHypergraph) -> MixedHypergraph:
 
 
 def _vertex_name(value, v: int) -> str:
-    if isinstance(value, LabeledHypergraph):
-        return str(value.labels[v])
-    return str(v)
+    return str(value.labels[v] if isinstance(value, LabeledHypergraph) else v)
 
 
 def _print_partition(value, partition: Partition) -> None:
@@ -122,10 +120,10 @@ def _cmd_min_search(args) -> int:
     resume = None
     if args.resume:
         try:
-            v_part, mask_part = args.resume.split(":")
-            resume = (int(v_part), int(mask_part))
+            v, mask = _decimals(args.resume, ":")
         except ValueError:
             raise ValueError(f"--resume expects V:MASK, got {args.resume!r}")
+        resume = (v, mask)
     report = certify_lower_bound(spec, args.max_vertices, budget=args.budget, resume=resume,
                                  max_witnesses=args.max_witnesses)
     for v in report.vertex_counts_searched:
@@ -138,14 +136,12 @@ def _cmd_min_search(args) -> int:
         print(f"resume with --resume {v}:{mask}")
         return EXIT_BUDGET
     if report.verdict == VERDICT_WITNESS:
-        below_bound = False
         for h, cert in report.witnesses:
             where = "below the bound!" if h.vertex_count < bound else "at/above the bound"
-            below_bound = below_bound or h.vertex_count < bound
             print(f"witness on {h.vertex_count} vertices ({where}): edges {list(h.c_edges)}")
             for witness in cert.witnesses:
                 _print_partition(h, witness)
-        return EXIT_REFUTED if below_bound else EXIT_OK
+        return EXIT_REFUTED if min(h.vertex_count for h, _ in report.witnesses) < bound else EXIT_OK
     return EXIT_OK
 
 

@@ -65,7 +65,8 @@ from itertools import chain
 from operator import attrgetter
 from struct import iter_unpack
 
-from .model import MixedHypergraph, Partition, _canonical_partitions, _check_ints, _Record
+from . import model
+from .model import MixedHypergraph, Partition, _check_ints, _Record, _unchecked_records
 
 _HOLE = 255  # the last vertex's byte in a parent's labels
 _RANKS = bytes(range(256))  # the identity table; its prefixes are ranks 0, 1, ...
@@ -445,8 +446,9 @@ def enumerate_strict_colorings(h: MixedHypergraph,
         del rows[limit:]
     if collect:
         rows = list(iter_unpack(f"{n}B", b"".join(rows)))
-    return EnumerationReport(_canonical_partitions(rows), spectrum, spectrum.feasible,
-                             searcher.nodes)
+    # model.Partition: a profiler may rebind this module's Partition to a wrapper
+    return EnumerationReport(_unchecked_records(model.Partition, len(rows), rows), spectrum,
+                             spectrum.feasible, searcher.nodes)
 
 
 def chromatic_spectrum(h: MixedHypergraph) -> ChromaticSpectrum:

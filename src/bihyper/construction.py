@@ -26,15 +26,23 @@ one-realization of the target set.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import gt, itemgetter
 
 from .model import (MixedHypergraph, Partition, VertexBijection, _check_ints,
-                    _normalized_hypergraph, _Record, induced_subhypergraph, is_proper)
+                    _normalized_hypergraph, _Record, _unchecked_records, induced_subhypergraph,
+                    is_proper)
 
 VARIANTS = ("I", "II")
+
+
+def _decimals(text: str, sep: str) -> list[int]:
+    """The ``sep``-separated entries of ``text``: ASCII decimal digits, spaces around each."""
+    entries = text.split(sep)
+    if not (text.isascii() and all(map(str.isdigit, map(str.strip, entries)))):
+        raise ValueError(f"{text!r} is not a list of decimal numbers")
+    return list(map(int, entries))  # past the decimal digit limit, int raises ValueError
 
 
 class FeasibleSpec(_Record):
@@ -71,7 +79,7 @@ class FeasibleSpec(_Record):
     @classmethod
     def from_string(cls, text: str) -> "FeasibleSpec":
         try:
-            counts = [int(part) for part in text.split(",") if part.strip() != ""]
+            counts = _decimals(text, ",")
         except ValueError:
             raise ValueError(f"cannot parse feasible set {text!r}; expected e.g. '5,3,2'")
         return cls.of(counts)
@@ -116,10 +124,6 @@ class LabeledVertex(_Record):
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "flag", flag)
 
-    def __reduce__(self) -> tuple:
-        # pickle and copy would otherwise restore the slots by setattr, which is refused
-        return LabeledVertex, (self.coords, self.flag)
-
     @property
     def full(self) -> tuple[int, ...]:
         """The complete (s+1)-tuple with the flag last; also the sort key."""
@@ -137,15 +141,10 @@ def _labeled_vertices(fulls: list[tuple[int, ...]]) -> tuple[LabeledVertex, ...]
 
     Trusted path: the caller guarantees that each tuple holds ``int``
     coordinates >= 1 followed by a flag in {0, 1}, as ``construct`` builds
-    them and as ``parse`` has checked them.  The instances are made and
-    filled by C-level ``map`` calls over the slot descriptors, with no
-    Python frame per label, as ``model._canonical_partitions`` does.
+    them and as ``parse`` has checked them.
     """
-    labels = tuple(map(object.__new__, repeat(LabeledVertex, len(fulls))))
-    deque(map(LabeledVertex.coords.__set__, labels, map(itemgetter(slice(-1)), fulls)),
-          maxlen=0)
-    deque(map(LabeledVertex.flag.__set__, labels, map(itemgetter(-1), fulls)), maxlen=0)
-    return labels
+    return _unchecked_records(LabeledVertex, len(fulls), map(itemgetter(slice(-1)), fulls),
+                              map(itemgetter(-1), fulls))
 
 
 class LabeledHypergraph(_Record):

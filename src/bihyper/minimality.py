@@ -288,13 +288,12 @@ def certify_lower_bound(spec: FeasibleSpec | Iterable[int], v_max: int | None = 
     ``2*max(spec) - 1`` that the profile rules refute, is settled whole
     without a scan, and ``settled_by`` names the method used for each.  The
     budget counts masks scanned; exceeding it aborts with a resumable
-    ``(v, mask)`` cursor.  A ``budget``, ``v_max`` or
-    ``max_witnesses`` that is not an ``int``, a ``resume`` that is not a
-    tuple or list of two ``int``s, a budget below 1, a ``v_max`` below 3 (an
-    empty search range) and a ``resume`` cursor outside the search range
-    raise ``ValueError``.  The search stops
-    at the end of the chunk in which ``max_witnesses`` one-realizations are
-    in hand.
+    ``(v, mask)`` cursor.  A ``budget``, ``v_max`` or ``max_witnesses`` that
+    is not an ``int``, a ``resume`` that is not a tuple or list of two
+    ``int``s, a budget below 1, a ``v_max`` below 3 (an empty search range)
+    and a ``resume`` cursor outside the search range raise ``ValueError``.
+    The search stops at the end of the chunk in which ``max_witnesses``
+    one-realizations are in hand.
     """
     spec = FeasibleSpec.of(spec)
     if v_max is None:

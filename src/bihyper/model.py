@@ -9,18 +9,20 @@ bi-hypergraph.  Colorings are unordered set partitions, stored in a
 canonical restricted-growth encoding so equal partitions compare equal.
 
 Everything here is an immutable value, so instances may be shared
-freely.  The package's record types derive from
-``_Record``.  Each annotates its fields in order and writes an ``__init__``
-that stores each field once with ``object.__setattr__``; the base compares
-and hashes instances of one class by their field tuple, prints them as
-``Name(field=value, ...)`` and refuses assignment.  It generates no code
-per class, so the import that every CLI launch pays stays cheap.
+freely.  The package's record types derive from ``_Record``.  Each
+annotates its fields in order and writes an ``__init__`` that stores each
+field once with ``object.__setattr__``; the base compares and hashes
+instances of one class by their field tuple, prints them as
+``Name(field=value, ...)``, refuses assignment and rebuilds a pickled or
+copied record through its own checked constructor.  It generates no code
+per class, so the import that every CLI launch pays stays cheap.  Records
+made in bulk skip their checks through one maker, ``_unchecked_records``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -56,6 +58,24 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle, copy and deepcopy rebuild through the checked constructor
+        return type(self), self._values(self)
+
+
+def _unchecked_records(cls: type, count: int, *columns: Iterable) -> tuple:
+    """Make ``count`` records of a slotted ``cls``, filling field ``i`` from ``columns[i]``.
+
+    Trusted path: nothing is checked, so the caller vouches for every value
+    (a canonical ``Partition`` row, say).  ``object.__new__`` makes the
+    records and each slot's descriptor fills them, past the refusing
+    ``__setattr__``, by C-level ``map`` calls with no Python frame per record.
+    """
+    records = tuple(map(object.__new__, repeat(cls, count)))
+    for name, column in zip(cls.__match_args__, columns):
+        deque(map(getattr(cls, name).__set__, records, column), maxlen=0)
+    return records
 
 
 def _check_ints(values: Collection, what: str) -> None:
@@ -217,10 +237,6 @@ class Partition(_Record):
                 relabel[x] = len(relabel)
         object.__setattr__(self, "labels", tuple(relabel[x] for x in labels))
 
-    def __reduce__(self) -> tuple:
-        # pickle and copy would otherwise restore the slot by setattr, which is refused
-        return Partition, (self.labels,)
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -248,27 +264,6 @@ class Partition(_Record):
 
     def __str__(self) -> str:
         return "{" + " | ".join(" ".join(str(v) for v in cl) for cl in self.classes()) + "}"
-
-
-def _canonical_partitions(rows: Sequence[tuple[int, ...]]) -> tuple[Partition, ...]:
-    """Wrap every row as a Partition without re-canonicalizing it.
-
-    Trusted path: the caller guarantees that each row is a nonempty tuple
-    already in canonical restricted-growth form, as the coloring search's
-    bulk encoder emits it.  Nothing is checked, so any other row yields a
-    Partition that compares unequal to the one ``Partition(row)`` would
-    build; arbitrary label sequences go through the public constructor.  The
-    instances are made and filled by C-level ``map`` calls, with no Python
-    frame per row: ``object.__new__`` makes them and the ``labels`` slot's
-    own descriptor fills them, past the refusing ``__setattr__``.  This
-    lives here to bind ``model.Partition``, which is always the class: other
-    modules' ``Partition`` names may be rebound to a plain function (a
-    profiler wrapping the constructor, say), and ``object.__new__`` needs
-    the type itself.
-    """
-    parts = tuple(map(object.__new__, repeat(Partition, len(rows))))
-    deque(map(Partition.labels.__set__, parts, rows), maxlen=0)
-    return parts
 
 
 def is_proper(h: MixedHypergraph, partition: Partition) -> bool:

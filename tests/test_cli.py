@@ -11,9 +11,12 @@ from time import perf_counter
 
 import pytest
 
+from bihyper import cli
 from bihyper.cli import build_parser, main
-from bihyper.construction import construct
-from bihyper.model import build_hypergraph
+from bihyper.colorings import OneRealizationCertificate
+from bihyper.construction import FeasibleSpec, construct
+from bihyper.minimality import VERDICT_WITNESS, SearchReport
+from bihyper.model import Partition, build_bi_hypergraph, build_hypergraph
 from bihyper.serialization import serialize
 
 
@@ -44,6 +47,11 @@ class TestFormula:
     def test_invalid_set(self, capsys):
         assert main(["formula", "--set", "4,x"]) == 2
         assert main(["formula", "--set", "3"]) == 2
+
+    @pytest.mark.parametrize("text", ["3,,2", "4,2,", "1_0,2", "\uff14,2"])
+    def test_malformed_entry(self, capsys, text):
+        assert main(["formula", "--set", text]) == 2
+        assert_one_error_line(capsys, f"cannot parse feasible set {text!r}")
 
 
 class TestConstruct:
@@ -252,6 +260,48 @@ class TestMinSearch:
     def test_bad_resume(self, capsys):
         assert main(["min-search", "--set", "3,2", "--resume", "nope"]) == 2
 
+    @pytest.mark.parametrize("cursor", ["4:1_0", "4:\uff18", "4:", ":8", "4:8:0", "4:-8", "+4:8"])
+    def test_resume_takes_only_ascii_decimal_parts(self, capsys, cursor):
+        # int() read "4:1_0" as mask 10 and "4:\uff18" as mask 8
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
+                     "--resume", cursor]) == 2
+        assert_one_error_line(capsys, f"--resume expects V:MASK, got {cursor!r}")
+
+    def test_resume_parts_may_carry_spaces(self, capsys):
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
+                     "--resume", " 4 : 8 "]) == 0
+        assert "v=4: examined 8 instances\n" in capsys.readouterr().out
+
+    def test_witness_at_the_bound(self, capsys):
+        # {3,2} is the one set whose optimum, 6, lies above the formula's 5
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == [
+            "verdict: witness-found (bound for {3,2} is 5)",
+            "witness on 6 vertices (at/above the bound): edges [(0, 1, 2), (0, 1, 3), "
+            "(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), "
+            "(1, 3, 4)]",
+            "    2 classes: 0 1 | 2 3 4 5",
+            "    3 classes: 0 1 | 2 3 4 | 5"]
+
+    def test_witness_below_the_bound_refutes(self, capsys, monkeypatch):
+        h = build_bi_hypergraph(4, [[0, 1, 2]])
+        witnesses = (Partition((0, 0, 1, 1)), Partition((0, 0, 1, 2)))
+        cert = OneRealizationCertificate(True, (2, 3), witnesses=witnesses)
+        report = SearchReport(FeasibleSpec((3, 2)), (3, 4), {3: 2, 4: 16}, [(h, cert)],
+                              VERDICT_WITNESS, 18)
+        monkeypatch.setattr(cli, "certify_lower_bound", lambda *args, **kwargs: report)
+        assert main(["min-search", "--set", "3,2"]) == 1
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "witness on 4 vertices (below the bound!): edges [(0, 1, 2)]",
+            "    2 classes: 0 1 | 2 3",
+            "    3 classes: 0 1 | 2 | 3"]
+
+    def test_max_witnesses_below_one(self, capsys):
+        assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
+                     "--max-witnesses", "0"]) == 2
+        assert_one_error_line(capsys, "max_witnesses must be at least 1")
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one(self, capsys, budget):
         assert main(["min-search", "--set", "3,2", "--max-vertices", "4",
@@ -300,6 +350,14 @@ class TestIsocheck:
         captured = capsys.readouterr()
         assert "vertex 0 is mapped more than once" in captured.err
         assert captured.out == ""
+
+    def test_map_of_the_wrong_length(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(serialize(build_hypergraph(3, [[0, 1]])))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([[0, 1], [1, 0]]))
+        assert main(["isocheck", str(path), str(path), "--map", str(mapping)]) == 2
+        assert_one_error_line(capsys, "bijection spans 2 vertices; hypergraphs have 3")
 
     def test_bad_map_file(self, tmp_path, capsys):
         p1 = write_construction(tmp_path, [3, 2], name="a.json")

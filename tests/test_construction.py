@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -49,6 +50,20 @@ class TestFeasibleSpec:
         assert FeasibleSpec.of({2, 4}).values == (4, 2)
         assert FeasibleSpec.of([2, 3, 5]).values == (5, 3, 2)
         assert FeasibleSpec.from_string("5,3,2").values == (5, 3, 2)
+
+    @pytest.mark.parametrize("text", ["2,3,5", " 2, 5 ,3 ", "3,\t5,2"])
+    def test_from_string_takes_any_order_and_spaces(self, text):
+        assert FeasibleSpec.from_string(text).values == (5, 3, 2)
+
+    @pytest.mark.parametrize("text", [
+        "3,,2", "5,3,2,", ",3,2", "", " ",  # empty entries
+        "1_0,2", "3,1_0",  # digit separators, which int() reads
+        "\uff14,2", "3,\u0662",  # non-ASCII digits, which int() reads
+        "-3,2", "+4,2", "4,2.0"])
+    def test_from_string_takes_only_ascii_decimal_entries(self, text):
+        message = re.escape(f"cannot parse feasible set {text!r}")
+        with pytest.raises(ValueError, match="^" + message):
+            FeasibleSpec.from_string(text)
 
     def test_needs_two_counts(self):
         with pytest.raises(ValueError, match="two class counts"):

@@ -152,6 +152,10 @@ class TestCertify:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             certify_lower_bound([3, 2], **{"v_max": 4, name: value})
 
+    def test_max_witnesses_below_one(self):
+        with pytest.raises(ValueError, match="^max_witnesses must be at least 1$"):
+            certify_lower_bound([3, 2], 4, max_witnesses=0)
+
     def test_last_mask_is_a_valid_cursor(self):
         report = certify_lower_bound([3, 2], 4, resume=(4, 15))
         assert report.verdict == VERDICT_NONE

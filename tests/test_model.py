@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import copy
 import pickle
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihyper.model import (MixedHypergraph, Partition, VertexBijection, build_bi_hypergraph,
-                           build_hypergraph, check_isomorphism_under_map, induced_subhypergraph,
-                           is_proper)
+from bihyper.construction import LabeledVertex
+from bihyper.model import (MixedHypergraph, Partition, VertexBijection, _normalized_hypergraph,
+                           _unchecked_records, build_bi_hypergraph, build_hypergraph,
+                           check_isomorphism_under_map, induced_subhypergraph, is_proper)
 
 from conftest import all_bi_hypergraphs, all_partitions
 
@@ -225,6 +227,20 @@ class TestTrustedBuilders:
             assert h == checked and hash(h) == hash(checked)
             assert pickle.loads(pickle.dumps(h)) == h
 
+    @pytest.mark.parametrize("rebuild", [lambda h: pickle.loads(pickle.dumps(h)), copy.copy,
+                                         copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_rerun_the_constructor_checks(self, rebuild):
+        # the trusted builder vouches for nothing past itself: a copy is checked again
+        h = _normalized_hypergraph(3, ((2, 1, 0),), ())
+        with pytest.raises(ValueError, match="C-edge family is not normalized"):
+            rebuild(h)
+
+    def test_unchecked_records_fill_each_field_from_its_column(self):
+        made = _unchecked_records(LabeledVertex, 2, [(1, 2), (3,)], iter([0, 1]))
+        assert made == (LabeledVertex((1, 2), 0), LabeledVertex((3,), 1))
+        assert [type(p) for p in _unchecked_records(Partition, 1, [(0, 1)])] == [Partition]
+        assert _unchecked_records(Partition, 0, []) == ()
+
 
 class TestPartition:
     def test_canonical_relabeling(self):
@@ -236,6 +252,10 @@ class TestPartition:
             Partition(())
         with pytest.raises(ValueError):
             Partition(iter(()))
+
+    def test_str_lists_the_classes(self):
+        assert str(Partition((0, 1, 0))) == "{0 2 | 1}"
+        assert str(Partition((7,))) == "{0}"
 
     def test_any_iterable_of_labels(self):
         # a one-shot iterator is read once, not emptied by a first pass
@@ -393,6 +413,10 @@ class TestVertexBijection:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             check_isomorphism_under_map(bi(3, []), bi(4, []), VertexBijection((0, 1, 2)))
+
+    def test_bijection_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^bijection spans 2 vertices; hypergraphs have 3$"):
+            check_isomorphism_under_map(bi(3, []), bi(3, []), VertexBijection((1, 0)))
 
     def test_nontrivial_isomorphism(self):
         h1 = bi(4, [[0, 1, 2]])

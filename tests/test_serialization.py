@@ -211,6 +211,19 @@ class TestParseErrors:
         with pytest.raises(ValueError, match=f"^{key}: not a field of a {kind} document$"):
             parse(json.dumps(doc))
 
+    def test_label_count_must_match_the_vertex_count(self):
+        doc = json.loads(serialize(construct([3, 2])))
+        del doc["labels"][-1]
+        with pytest.raises(ValueError, match="^labels: 5 labels for 6 vertices$"):
+            parse(json.dumps(doc))
+
+    def test_s_must_match_the_feasible_set(self):
+        doc = json.loads(serialize(construct([3, 2])))
+        doc["s"] = 3
+        doc["labels"] = [row[:-1] + [1] + row[-1:] for row in doc["labels"]]
+        with pytest.raises(ValueError, match="^s: 3 does not match the 2 counts in metadata$"):
+            parse(json.dumps(doc))
+
     def test_labeled_doc_needs_s(self):
         doc = json.loads(serialize(construct([4, 2])))
         del doc["s"]
@@ -240,6 +253,9 @@ class TestParseErrors:
         ("II", "unproven_regime", True, "unproven_regime must be a string, got bool"),
         ("I", "variant", 1, "variant must be a string, got int"),
         ("I", "feasible_set", "4,x", "cannot parse feasible set '4,x'"),
+        ("I", "feasible_set", "4,,2", "cannot parse feasible set '4,,2'"),
+        ("I", "feasible_set", "4,2,", "cannot parse feasible set '4,2,'"),
+        ("I", "variant", "III", "unknown variant 'III'"),
     ])
     def test_metadata_that_would_not_round_trip(self, variant, key, value, message):
         doc = json.loads(serialize(construct([4, 2], variant)))
