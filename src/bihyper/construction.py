@@ -11,8 +11,10 @@ reaching ``2*n1 - 1``, and stays a one-realization when ``n2 == n1 - 1``
 and there are at least three class counts.
 
 Labels travel as plain full tuples, flag last, from that set to the
-edges.  ``construct`` checks nothing twice that it has just built: the
-coordinate rule emits its triples already sorted, so the family is wrapped
+edges.  The coordinate rule scans only the pairs sharing a value in one
+pivot column, so its cost is bound by its output, about ``N**2 / 2``
+triples on ``N`` vertices.  ``construct`` checks nothing twice that it has
+just built: the rule sorts its triples once, so the family is wrapped
 through the trusted ``model._normalized_hypergraph``, and the labels
 through the trusted ``_labeled_vertices``, which ``parse`` also uses once
 its own label checks have passed.  Values from outside still go through
@@ -26,6 +28,7 @@ one-realization of the target set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from itertools import combinations
 from operator import gt, itemgetter
@@ -227,19 +230,19 @@ def deleted_label(spec: FeasibleSpec) -> LabeledVertex:
 
 def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
     """Every triple ``a < b < c`` of full label tuples showing two distinct values in
-    each position.
+    each position, sorted.
 
-    Per-pair bitmask rule: ``rows[i][j]`` is the bitmask of the vertices whose
-    j-th entry equals vertex i's.  A pair ``a < b`` starts from ``above[b]``,
-    the vertices ``c > b``, so equal rows end too.  For masks ``A`` and ``B``
-    at position j, the third vertex must differ from both when the values
-    are equal (clear ``A``) and repeat one of them otherwise (AND with
-    ``A | B``).  Equal values give ``A == B`` and different values give
-    disjoint masks, where ``A ^ B == A | B``; so each position is one step,
-    ``mask &= A ^ B or ~A``.  The set bits left are exactly the valid ``c``;
-    emitting them low to high keeps the ``itertools.combinations`` order.
-    Most pairs lose every candidate within a few positions, so the scan stops
-    at the first empty mask.
+    An edge shows exactly two values in each column, so in any column exactly
+    one of its three pairs shares a value.  The pivot is the column with the
+    fewest such pairs, ``sum(C(g, 2))`` over its value classes of sizes ``g``
+    (the lowest index on a tie); scanning only the pairs ``p < q`` sharing a
+    pivot value finds each edge exactly once, equal and width-1 rows included.
+    ``rows[i][j]`` masks the vertices whose j-th entry equals vertex i's.  A
+    pair's mask starts as the vertices outside its pivot class; at position j
+    with masks ``A`` and ``B`` the third vertex must differ from both when the
+    values are equal (clear ``A``) and repeat one otherwise (AND with
+    ``A | B``).  Disjoint masks have ``A ^ B == A | B``, so each position is
+    one step, ``mask &= A ^ B or ~A``, until the mask empties.
     """
     holders: list[dict[int, int]] = [{} for _ in fulls[0]]
     for i, full in enumerate(fulls):
@@ -247,17 +250,25 @@ def _coordinate_rule_edges(fulls: list[tuple[int, ...]]) -> list[tuple[int, int,
         for column, x in zip(holders, full):
             column[x] = column.get(x, 0) | bit
     rows = [tuple(map(dict.__getitem__, holders, full)) for full in fulls]
-    edges, above = [], [(1 << len(rows)) - (2 << b) for b in range(len(rows))]
-    for a, b in combinations(range(len(rows)), 2):
-        mask = above[b]
-        for A, B in zip(rows[a], rows[b]):
-            mask &= A ^ B or ~A
-            if not mask:
-                break
-        while mask:
-            low = mask & -mask
-            edges.append((a, b, low.bit_length() - 1))
-            mask ^= low
+    pivot = min(range(len(holders)),
+                key=lambda j: sum(m.bit_count() ** 2 for m in holders[j].values()))
+    classes: dict[int, list[int]] = {}
+    for i, full in enumerate(fulls):
+        classes.setdefault(full[pivot], []).append(i)
+    edges, everyone = [], (1 << len(rows)) - 1
+    for members in classes.values():
+        for p, q in combinations(members, 2):
+            mask = everyone ^ rows[p][pivot]
+            for A, B in zip(rows[p], rows[q]):
+                mask &= A ^ B or ~A
+                if not mask:
+                    break
+            while mask:
+                low = mask & -mask
+                r = low.bit_length() - 1
+                edges.append((r, p, q) if r < p else (p, r, q) if r < q else (p, q, r))
+                mask ^= low
+    edges.sort()
     return edges
 
 
@@ -305,10 +316,10 @@ def construct(spec: FeasibleSpec | Iterable[int], variant: str = "auto",
     special = [index.get(v.full) for v in special_edge_labels(spec)]
     if not drop_special and None not in special:  # for s = 2 variant II deletes one
         special = tuple(sorted(special))
-        if special in edges:
+        at = bisect_left(edges, special)  # the rule's edges are already sorted
+        if edges[at:at + 1] == [special]:
             raise RuntimeError("special edge already produced by the coordinate rule")
-        edges.append(special)
-        edges.sort()  # one merge pass: the rule's edges are already sorted
+        edges.insert(at, special)
 
     # The rule emits distinct increasing in-range triples in sorted order, so the
     # family is already normalized; so are the generated labels.

@@ -172,6 +172,23 @@ class TestConstructI:
             assert set(built.hypergraph.c_edges) == expected | {special}
             assert set(construct(spec, "I", drop_special=True).hypergraph.c_edges) == expected
 
+    @pytest.mark.parametrize("values", [
+        (16, 2), (24, 7), (32, 31),  # two counts
+        (16, 15, 4), (32, 31, 9, 2), (24, 23, 22, 2),  # n2 == n1 - 1, three or more
+        (16, 9, 5, 3), (24, 12, 6, 4, 2), (32, 17, 5),
+    ], ids=str)
+    @pytest.mark.parametrize("variant, drop", [("I", False), ("II", False), ("auto", True)])
+    def test_coordinate_rule_completeness_beyond_the_digests(self, values, variant, drop):
+        # the byte digests stop at n1 = 12; past them the edges must still be exactly
+        # the brute-force triples, plus the special edge whenever its labels survive
+        built = construct(values, variant, drop_special=drop)
+        index = built.label_index()
+        expected = coordinate_rule_oracle(built.labels)
+        special = [index.get(l) for l in special_edge_labels(built.spec)]
+        if not drop and None not in special:
+            expected.add(tuple(sorted(special)))
+        assert set(built.hypergraph.c_edges) == expected
+
     def test_is_bi_and_3_uniform(self):
         h = construct([5, 3, 2]).hypergraph
         assert h.is_bi() and set(map(len, h.c_edges)) == {3}
@@ -457,6 +474,13 @@ class TestTrustedPaths:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 6).flatmap(lambda width: st.lists(
         st.tuples(*[st.integers(1, 4)] * width), min_size=1, max_size=16, unique=True)))
+    # pivot edge cases: the most-varied column is the last one; two columns tie as
+    # pivot; one column is constant (no edges); a single row; width 1, two values
+    @example([(1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 2, 1), (2, 1, 4), (2, 2, 2)])
+    @example([(1, 1), (1, 2), (2, 1), (2, 2)])
+    @example([(2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 3)])
+    @example([(3, 1, 4)])
+    @example([(1,), (2,)])
     def test_coordinate_rule_matches_a_brute_force_scan(self, fulls):
         # any distinct labels, not only constructions: the per-pair scan, which stops
         # at the first empty mask, must emit exactly the two-values-per-position
@@ -472,6 +496,12 @@ class TestCoordinateRuleOnRepeatedRows:
         st.tuples(*[st.integers(1, 3)] * width), min_size=1, max_size=12)))
     @example([(1, 1), (1, 1), (2, 2)])
     @example([(1,)] * 5)
+    # pivot edge cases, as in TestTrustedPaths, with repeated rows
+    @example([(1, 1, 1), (1, 1, 2), (1, 1, 1), (2, 2, 3), (2, 1, 2), (1, 2, 3)])
+    @example([(1, 2), (2, 1), (1, 2), (2, 2), (2, 1)])
+    @example([(3, 1), (3, 2), (3, 1), (3, 3)])
+    @example([(1, 1)])
+    @example([(1,), (2,), (1,), (2,), (2,)])
     def test_matches_a_brute_force_scan(self, fulls):
         assert _coordinate_rule_edges(fulls) == two_values_per_position(fulls)
 
